@@ -15,14 +15,13 @@ from .invariants import (GermInvariants, SuspensionResult, find_positive_weights
                          germ_invariants, milnor_number, suspend, tjurina_number)
 from .jets import jet_quotient_dimension
 from .localalg import (GREATER, INFINITE, LESS, EQUAL, LocalOrder, StandardBasis,
-                       compare, extend_standard_basis, mora_normal_form,
-                       quotient_codimension, standard_basis)
-from .poly import (Monomial, Polynomial, is_weighted_homogeneous, parse_polynomial,
-                   partial_derivative)
+                       extend_standard_basis, mora_normal_form, quotient_codimension,
+                       standard_basis)
+from .poly import Monomial, Polynomial, parse_polynomial
 from .semigroup import (MonomialCurveEquations, NumericalSemigroup,
                         PlaneBranchCertificate, branch_milnor, certify_plane_branch,
                         minimal_generators, monomial_curve_equations,
-                        semigroup_from_generators, space_branch_bound_check)
+                        semigroup_from_generators)
 
 __version__ = "0.1.0"
 
@@ -36,11 +35,10 @@ __all__ = [
     "GermInvariants", "SuspensionResult", "find_positive_weights", "germ_invariants",
     "milnor_number", "suspend", "tjurina_number",
     "jet_quotient_dimension",
-    "GREATER", "INFINITE", "LESS", "EQUAL", "LocalOrder", "StandardBasis", "compare",
+    "GREATER", "INFINITE", "LESS", "EQUAL", "LocalOrder", "StandardBasis",
     "extend_standard_basis", "mora_normal_form", "quotient_codimension", "standard_basis",
-    "Monomial", "Polynomial", "is_weighted_homogeneous", "parse_polynomial",
-    "partial_derivative",
+    "Monomial", "Polynomial", "parse_polynomial",
     "MonomialCurveEquations", "NumericalSemigroup", "PlaneBranchCertificate",
     "branch_milnor", "certify_plane_branch", "minimal_generators",
-    "monomial_curve_equations", "semigroup_from_generators", "space_branch_bound_check",
+    "monomial_curve_equations", "semigroup_from_generators",
 ]

@@ -38,6 +38,13 @@ class BoundVerdict:
     margin: Fraction | None
 
 
+def _verdict(applicable: bool, margin: Fraction | None, strict: bool) -> BoundVerdict:
+    """The bound holds iff ``margin > 0`` (strict) or ``margin >= 0``."""
+    if not applicable or margin is None:
+        return BoundVerdict(applicable, None, margin)
+    return BoundVerdict(True, margin > 0 if strict else margin >= 0, margin)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     mu: int
@@ -63,30 +70,23 @@ def bound_report(mu: int, tau: int, n: int, p_g: int | None = None,
     if tau > mu:
         raise ValueError(f"invalid invariant pair: tau={tau} exceeds mu={mu}")
     N = n + 1
-    margin_43 = Fraction(4 * tau - 3 * mu)
-    verdicts = {
-        "positivity": BoundVerdict(True, mu >= tau, Fraction(mu - tau)),
-        "liu": BoundVerdict(True, N * tau >= mu, Fraction(N * tau - mu, N)),
-        "dimca_greuel_4_3": BoundVerdict(n == 1, margin_43 > 0 if n == 1 else None, margin_43),
-        "conjecture_3_2": BoundVerdict(n == 2, Fraction(3 * tau - 2 * mu) > 0 if n == 2 else None,
-                                       Fraction(3 * tau - 2 * mu)),
-        "space_branch_quarter": BoundVerdict(n == 1, margin_43 > 0 if n == 1 else None, margin_43),
+    pg_known = p_g is not None
+    # For a space branch the quarter bound mu - tau < mu/4 is the 4/3
+    # bound 3*mu < 4*tau of a plane curve: one verdict serves both keys.
+    dimca_greuel = _verdict(n == 1, Fraction(4 * tau - 3 * mu), strict=True)
+    verdicts = {  # in BOUND_IDS order
+        "positivity": _verdict(True, Fraction(mu - tau), strict=False),
+        "liu": _verdict(True, Fraction(N * tau - mu, N), strict=False),
+        "dimca_greuel_4_3": dimca_greuel,
+        "conjecture_3_2": _verdict(n == 2, Fraction(3 * tau - 2 * mu), strict=True),
+        "wahl_2pg": _verdict(n == 2, Fraction(2 * p_g - (mu - tau)) if pg_known else None,
+                             strict=False),
+        "tomari": _verdict(n == 2 and multiplicity == 2,
+                           Fraction(mu - (8 * p_g + 1)) if pg_known else None, strict=False),
+        "durfee": _verdict(n == 2, Fraction(mu - 6 * p_g) if pg_known else None, strict=False),
+        "space_branch_quarter": dimca_greuel,
     }
-    wahl_margin = None if p_g is None else Fraction(2 * p_g - (mu - tau))
-    verdicts["wahl_2pg"] = BoundVerdict(
-        n == 2, wahl_margin >= 0 if (n == 2 and wahl_margin is not None) else None, wahl_margin)
-    tomari_applicable = n == 2 and multiplicity == 2
-    tomari_margin = None if p_g is None else Fraction(mu - (8 * p_g + 1))
-    verdicts["tomari"] = BoundVerdict(
-        tomari_applicable,
-        tomari_margin >= 0 if (tomari_applicable and tomari_margin is not None) else None,
-        tomari_margin)
-    durfee_margin = None if p_g is None else Fraction(mu - 6 * p_g)
-    verdicts["durfee"] = BoundVerdict(
-        n == 2, durfee_margin >= 0 if (n == 2 and durfee_margin is not None) else None,
-        durfee_margin)
-    ordered = {key: verdicts[key] for key in BOUND_IDS}
-    return BoundReport(mu, tau, n, p_g, multiplicity, ordered)
+    return BoundReport(mu, tau, n, p_g, multiplicity, verdicts)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
+from . import corpus
 from . import selftest as selftest_mod
 from .bounds import BOUND_IDS, BoundReport, SuperisolatedData, bound_report, \
     kerner_nemethi_constant, superisolated_invariants, wahl_tau_min
@@ -358,29 +359,17 @@ def _rows_csv(rows) -> str:
 
 def _sweep_with_row_timeouts(spec: SweepSpec, seconds: float):
     # Per-germ deadlines need the alarm signal, so this path is serial.
-    from germ.corpus import SweepResult, evaluate_germ, generate_corpus
-
     rows = []
     timed_out = False
-    for index, f in enumerate(generate_corpus(spec)):
+    for index, f in enumerate(corpus.generate_corpus(spec)):
         try:
             with _deadline(seconds):
-                rows.append(evaluate_germ(index, f))
+                rows.append(corpus.evaluate_germ(index, f))
         except TimeoutError:
             timed_out = True
             rows.append(ReportRow(index, str(f), len(f.vars) - 1, None, None, False,
                                   None, None, seconds, note="timeout"))
-    ratios = [r.ratio for r in rows if r.ratio is not None]
-    margins = [r.report.verdicts["dimca_greuel_4_3"].margin
-               for r in rows if r.report is not None and r.n == 1]
-    violations = tuple(f"row {r.index}: {key}" for r in rows if r.report
-                       for key, v in r.report.verdicts.items() if v.holds is False)
-    result = SweepResult(spec, tuple(rows),
-                         min(ratios) if ratios else None,
-                         max(ratios) if ratios else None,
-                         min(margins) if margins else None,
-                         violations)
-    return result, timed_out
+    return corpus.summarize(spec, rows), timed_out
 
 
 def _cmd_sweep(args) -> int:

@@ -167,6 +167,15 @@ def sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
             rows = list(pool.map(_evaluate_indexed, jobs))
     else:
         rows = [evaluate_germ(i, f) for i, f in jobs]
+    return summarize(spec, rows)
+
+
+def summarize(spec: SweepSpec, rows) -> SweepResult:
+    """Sweep summary of evaluated rows: ratio range, 4/3 margin, violations.
+
+    A row is a violation when its note reports one or when a catalog
+    bound fails on it.
+    """
     ratios = [r.ratio for r in rows if r.ratio is not None]
     margins = [r.report.verdicts["dimca_greuel_4_3"].margin
                for r in rows if r.report is not None and r.n == 1]
@@ -177,8 +186,7 @@ def sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
         if r.report is None:
             continue
         for key in BOUND_IDS:
-            v = r.report.verdicts[key]
-            if v.holds is False:
+            if r.report.verdicts[key].holds is False:
                 violations.append(f"row {r.index}: {key}")
     return SweepResult(
         spec=spec,

@@ -59,7 +59,9 @@ def _gradient(f: Polynomial) -> list[Polynomial]:
 
 
 def _candidate_precedences(vars: tuple[str, ...]) -> list[tuple[str, ...]]:
-    perms = sorted(itertools.permutations(vars))[:24]
+    # Permutations of a sorted sequence come in lexicographic order, so
+    # this is the 24 smallest without materialising all of them.
+    perms = list(itertools.islice(itertools.permutations(sorted(vars)), 24))
     perms.sort(key=lambda p: p != vars)  # the ring's own order first
     return perms
 

@@ -102,20 +102,11 @@ class LocalOrder:
         return code >> self._deg_shift
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
-        """-1, 0 or +1 as ``m1`` is smaller than, equal to or greater than ``m2``."""
+        """``LESS``, ``EQUAL`` or ``GREATER`` as ``m1`` compares to ``m2``."""
         a, b = self.encode(m1), self.encode(m2)
         if a == b:
             return EQUAL
         return GREATER if a < b else LESS
-
-    def sort_key(self, exps: Monomial) -> int:
-        """Key under which ascending sorting gives decreasing monomials."""
-        return self.encode(exps)
-
-
-def compare(m1: Monomial, m2: Monomial, order: LocalOrder) -> int:
-    """Total order on monomials: ``LESS``, ``EQUAL`` or ``GREATER``."""
-    return order.compare(m1, m2)
 
 
 # ----------------------------------------------------------------------
@@ -219,8 +210,15 @@ def _primitive(terms: dict) -> dict:
     return _strip(out)
 
 
-#: Sentinel truncation code when no degree bound is certified yet.
-_NO_CORNER = 1 << 480
+def _beyond_codes(order: LocalOrder) -> int:
+    """Truncation code above every packed code of ``order``.
+
+    Each exponent field holds less than ``2**_FIELD_BITS`` even after
+    adding two in-range monomials, so every degree stays below
+    ``nvars << _FIELD_BITS``; the code is the truncation bound used
+    while no corner degree is certified.
+    """
+    return (order.nvars << _FIELD_BITS) << order._deg_shift
 
 
 # ----------------------------------------------------------------------
@@ -264,17 +262,30 @@ def _coprime_skip(f: _Rec, g: _Rec) -> bool:
     return f.lc2 * g.lc != g.lc2 * f.lc
 
 
-def _staircase_max_degree(gens: frozenset, nvars: int, memo: dict) -> int:
-    """Largest total degree outside a cofinite monomial ideal, -1 if none."""
+def _staircase(gens: frozenset, nvars: int, memo: dict) -> tuple[int, int]:
+    """Size and largest degree of the staircase of a cofinite monomial ideal.
+
+    ``gens`` must be minimal.  Recursive splitting: picking a variable
+    ``x`` present in a mixed generator, the staircase partitions into
+    the part annihilated by ``x`` (ideal plus ``x``) and ``x`` times the
+    staircase of the colon ideal.  Base case: pure-power generators span
+    a box.  The largest degree is -1 when the staircase is empty.
+    """
     cached = memo.get(gens)
     if cached is not None:
         return cached
-    gen_list = list(gens)
-    if any(not any(m) for m in gen_list):
-        return -1
-    mixed = [m for m in gen_list if sum(1 for e in m if e) > 1]
+    if any(not any(m) for m in gens):
+        return (0, -1)  # 1 lies in the ideal
+    mixed = [m for m in gens if sum(1 for e in m if e) > 1]
     if not mixed:
-        result = sum(max(m) - 1 for m in gen_list)
+        # minimal + cofinite forces exactly one pure power per variable
+        assert len(gens) == nvars
+        count = 1
+        top = 0
+        for m in gens:
+            count *= max(m)
+            top += max(m) - 1
+        result = (count, top)
     else:
         counts = [0] * nvars
         for m in mixed:
@@ -283,28 +294,49 @@ def _staircase_max_degree(gens: frozenset, nvars: int, memo: dict) -> int:
                     counts[i] += 1
         pivot = counts.index(max(counts))
         unit = tuple(1 if i == pivot else 0 for i in range(nvars))
-        without = frozenset(_minimalize([m for m in gen_list if m[pivot] == 0] + [unit]))
+        # Already minimal: minimal generators free of x, plus x itself.
+        without = frozenset([m for m in gens if m[pivot] == 0] + [unit])
         colon = frozenset(_minimalize(
-            [m[:pivot] + (max(m[pivot] - 1, 0),) + m[pivot + 1:] for m in gen_list]))
-        a = _staircase_max_degree(without, nvars, memo)
-        b = _staircase_max_degree(colon, nvars, memo)
-        result = max(a, b + 1 if b >= 0 else -1)
+            [m[:pivot] + (max(m[pivot] - 1, 0),) + m[pivot + 1:] for m in gens]))
+        count_a, top_a = _staircase(without, nvars, memo)
+        count_b, top_b = _staircase(colon, nvars, memo)
+        result = (count_a + count_b, max(top_a, top_b + 1 if top_b >= 0 else -1))
     memo[gens] = result
     return result
+
+
+def _has_pure_powers(gens: Sequence[Monomial], nvars: int) -> bool:
+    """True iff every variable has a pure power among ``gens``."""
+    seen = set()
+    for m in gens:
+        nz = [i for i, e in enumerate(m) if e]
+        if len(nz) == 1:
+            seen.add(nz[0])
+    return len(seen) == nvars
+
+
+def _staircase_of(lm_exps: Sequence[Monomial], nvars: int) -> tuple[int, int] | None:
+    """``(size, largest degree)`` of the staircase of a leading ideal.
+
+    None while some variable still lacks a pure power (the staircase is
+    infinite); ``(0, -1)`` when the ideal contains 1.
+    """
+    mins = _minimalize(lm_exps)
+    if any(not any(m) for m in mins):
+        return (0, -1)
+    if not _has_pure_powers(mins, nvars):
+        return None
+    return _staircase(frozenset(mins), nvars, {})
 
 
 def _corner_degree(lm_exps: list[Monomial], nvars: int) -> int | None:
     """Least degree k with every monomial of degree >= k in the ideal.
 
-    None while some variable still lacks a pure power (the staircase is
-    infinite and no truncation degree is certified).
+    None while the staircase is infinite (no truncation degree is
+    certified).
     """
-    mins = _minimalize(lm_exps)
-    if any(not any(m) for m in mins):
-        return 0
-    if _pure_power_bounds(mins, nvars) is None:
-        return None
-    return _staircase_max_degree(frozenset(mins), nvars, {}) + 1
+    stairs = _staircase_of(lm_exps, nvars)
+    return None if stairs is None else stairs[1] + 1
 
 
 def _nf_slice(h: dict, own: list[_Rec], records: list[_Rec], order: LocalOrder,
@@ -321,8 +353,7 @@ def _nf_slice(h: dict, own: list[_Rec], records: list[_Rec], order: LocalOrder,
     """
     guard = order._guard
     shift = order._deg_shift
-    if corner_code is not _NO_CORNER:
-        h = {k: v for k, v in h.items() if k < corner_code}
+    h = {k: v for k, v in h.items() if k < corner_code}
     while h:
         lm_h = min(h)
         if (lm_h >> shift) > ceiling:
@@ -385,7 +416,7 @@ def _nf_slice(h: dict, own: list[_Rec], records: list[_Rec], order: LocalOrder,
 
 
 def _spoly(f: _Rec, g: _Rec, lcm_code: int, order: LocalOrder,
-           corner_code: int = _NO_CORNER) -> dict:
+           corner_code: int) -> dict:
     guard = order._guard
     gcd_lc = math.gcd(f.lc, g.lc)
     a = g.lc // gcd_lc
@@ -436,24 +467,19 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
     heap: list = []  # (degree, seq, payload); payload: pair or paused task
     pending: set[tuple[int, int]] = set()
     seq = 0
-    corner: int | None = None
-    corner_code = _NO_CORNER
+    corner_code = _beyond_codes(order)  # codes at or above it are truncated
     work = [0]
 
     def refresh_corner() -> None:
-        nonlocal corner, corner_code
+        nonlocal corner_code
         new = _corner_degree([r.lm_exps for r in records], order.nvars)
-        if new is None or (corner is not None and new >= corner):
+        if new is None or new << shift >= corner_code:
             return
-        corner = new
-        corner_code = corner << shift
-        for r in records:
+        corner_code = new << shift
+        for t, r in enumerate(records):
             if any(k >= corner_code for k in r.tail):
-                r.tail = {k: c for k, c in r.tail.items() if k < corner_code}
-                top = max(r.tail) if r.tail else r.lm
-                r.ecart = (max(top, r.lm) >> shift) - (r.lm >> shift)
-                r.lm2 = min(r.tail) if r.tail else None
-                r.lc2 = r.tail[r.lm2] if r.tail else None
+                kept = {k: c for k, c in r.tail.items() if k < corner_code}
+                records[t] = _make_rec({r.lm: r.lc, **kept}, order, with_pair_data=True)
 
     def push_pairs(t: int) -> None:
         nonlocal seq
@@ -468,7 +494,7 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
 
     def run_task(key: tuple[int, int], h: dict, own: list[_Rec], degree: int) -> None:
         nonlocal seq
-        if not h or (corner is not None and (min(h) >> shift) >= corner):
+        if not h or min(h) >= corner_code:
             pending.discard(key)
             return
         state = _nf_slice(h, own, records, order, corner_code,
@@ -496,7 +522,7 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
             run_task(key, h, own, degree)
             continue
         _, i, j, lcm_exps, lcm_code = item
-        if corner is not None and degree >= corner:
+        if lcm_code >= corner_code:
             pending.discard((i, j))  # the s-polynomial lives beyond the bound
             continue
         fi, gj = records[i], records[j]
@@ -592,7 +618,7 @@ def mora_normal_form(p: Polynomial, G: Sequence[Polynomial], order: LocalOrder |
     h = _encode_poly(p, order)
     if not h or not reducers:
         return p
-    state = _nf_slice(_ratios(h), [], reducers, order, _NO_CORNER,
+    state = _nf_slice(_ratios(h), [], reducers, order, _beyond_codes(order),
                       1 << 62, [0], None)
     rem = state[1]
     if rem == h:
@@ -604,67 +630,11 @@ def mora_normal_form(p: Polynomial, G: Sequence[Polynomial], order: LocalOrder |
 # Codimension of the quotient
 
 
-def _pure_power_bounds(gens: Sequence[Monomial], nvars: int) -> list[int] | None:
-    """Exponent of a pure power per variable, or None if one is missing."""
-    bounds = [0] * nvars
-    for m in gens:
-        nz = [i for i, e in enumerate(m) if e]
-        if len(nz) == 1:
-            i = nz[0]
-            if bounds[i] == 0 or m[i] < bounds[i]:
-                bounds[i] = m[i]
-    if all(bounds):
-        return bounds
-    return None
-
-
-def _staircase_size(gens: frozenset, nvars: int, memo: dict) -> int:
-    """Count the monomials outside a cofinite monomial ideal.
-
-    Recursive splitting: picking a variable ``x`` present in a mixed
-    generator, the staircase partitions into the part annihilated by
-    ``x`` (ideal plus ``x``) and ``x`` times the staircase of the
-    colon ideal.  Base case: pure-power generators span a box.
-    """
-    cached = memo.get(gens)
-    if cached is not None:
-        return cached
-    gen_list = list(gens)
-    if any(not any(m) for m in gen_list):
-        return 0  # 1 lies in the ideal
-    mixed = [m for m in gen_list if sum(1 for e in m if e) > 1]
-    if not mixed:
-        # minimal + cofinite forces exactly one pure power per variable
-        assert len(gen_list) == nvars
-        result = 1
-        for m in gen_list:
-            result *= max(m)
-    else:
-        counts = [0] * nvars
-        for m in mixed:
-            for i, e in enumerate(m):
-                if e:
-                    counts[i] += 1
-        pivot = counts.index(max(counts))
-        unit = tuple(1 if i == pivot else 0 for i in range(nvars))
-        without = [m for m in gen_list if m[pivot] == 0] + [unit]
-        colon = [m[:pivot] + (max(m[pivot] - 1, 0),) + m[pivot + 1:] for m in gen_list]
-        result = (_staircase_size(frozenset(_minimalize(without)), nvars, memo)
-                  + _staircase_size(frozenset(_minimalize(colon)), nvars, memo))
-    memo[gens] = result
-    return result
-
-
 def quotient_codimension(basis: StandardBasis) -> int | float:
     """Vector-space dimension of the local ring modulo the ideal.
 
     Finite exactly when every variable has a pure power in the leading
     ideal; returns :data:`INFINITE` otherwise.
     """
-    gens = _minimalize(basis.leading_ideal)
-    nvars = len(basis.order.variables)
-    if any(not any(m) for m in gens):
-        return 0
-    if _pure_power_bounds(gens, nvars) is None:
-        return INFINITE
-    return _staircase_size(frozenset(gens), nvars, {})
+    stairs = _staircase_of(basis.leading_ideal, basis.order.nvars)
+    return INFINITE if stairs is None else stairs[0]

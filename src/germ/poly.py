@@ -429,12 +429,3 @@ def parse_polynomial(text: str, vars: Sequence[str]) -> Polynomial:
         raise ParseError(f"unexpected trailing input {trailing.value!r}", trailing.pos)
     return result
 
-
-def partial_derivative(p: Polynomial, var: str) -> Polynomial:
-    """Formal partial derivative of ``p`` with respect to ``var``."""
-    return p.partial_derivative(var)
-
-
-def is_weighted_homogeneous(p: Polynomial, weights: Sequence[Scalar], degree: Scalar) -> bool:
-    """True iff every monomial of ``p`` has weighted degree ``degree``."""
-    return p.is_weighted_homogeneous(weights, degree)

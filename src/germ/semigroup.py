@@ -128,7 +128,6 @@ class PlaneBranchCertificate:
     e: tuple[int, ...]
     n: tuple[int, ...]
     witnesses: tuple[tuple[int, ...], ...]
-    condition2_ok: bool
 
 
 def _canonical_witness(beta: Sequence[int], e: Sequence[int], n: Sequence[int],
@@ -196,7 +195,6 @@ def certify_plane_branch(gens: Sequence[int]) -> PlaneBranchCertificate | None:
         e=tuple(e),
         n=tuple(n[1:]),
         witnesses=tuple(witnesses),
-        condition2_ok=True,
     )
 
 
@@ -248,11 +246,3 @@ def monomial_curve_equations(cert: PlaneBranchCertificate,
         relations.append((power, witness))
     return MonomialCurveEquations(beta, tuple(relations))
 
-
-def space_branch_bound_check(mu: int, tau: int) -> bool:
-    """Exact check of ``mu - tau < mu / 4`` as ``4*(mu - tau) < mu``."""
-    if not (isinstance(mu, int) and isinstance(tau, int)):
-        raise ValueError("mu and tau must be integers")
-    if tau < 1 or tau > mu:
-        raise ValueError(f"invalid invariant pair mu={mu}, tau={tau}")
-    return 4 * (mu - tau) < mu

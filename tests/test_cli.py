@@ -4,6 +4,9 @@ import csv
 import io
 import json
 
+import pytest
+
+import germ.corpus
 from germ.cli import main
 
 
@@ -137,6 +140,23 @@ def test_sweep_json_deterministic(capsys):
     data = json.loads(out1)
     assert [row["mu"] for row in data["rows"]] == [1, 8, 27]
     assert data["summary"]["violations"] == []
+
+
+@pytest.mark.parametrize("row_timeouts", [False, True])
+def test_sweep_summary_lists_noted_violations(capsys, monkeypatch, row_timeouts):
+    # Both sweep paths must count a row whose note reports a violation.
+    def fake(index, f):
+        return germ.corpus.ReportRow(index, str(f), 2, 8, 7, True, None, None, 0.0,
+                                     note="saito direction violated")
+
+    monkeypatch.setattr(germ.corpus, "evaluate_germ", fake)
+    args = ["sweep", "--family", "fermat", "--d-min", "2", "--d-max", "3",
+            "--json", "--reproducible"]
+    args += ["--timeout", "60"] if row_timeouts else ["--threads", "1"]
+    code, out, _ = run(capsys, *args)
+    assert code == 1
+    assert json.loads(out)["summary"]["violations"] == [
+        "row 0: saito direction violated", "row 1: saito direction violated"]
 
 
 def test_sweep_csv(capsys):

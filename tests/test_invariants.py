@@ -7,6 +7,7 @@ import pytest
 from germ import (INFINITE, NotAGermError, Polynomial, find_positive_weights,
                   germ_invariants, jet_quotient_dimension, milnor_number,
                   parse_polynomial, suspend, tjurina_number)
+from germ.invariants import _candidate_precedences
 
 V2 = ("x", "y")
 
@@ -93,6 +94,22 @@ def test_one_variable_germ():
     inv = germ_invariants(f)
     assert inv.germ_dimension == 0
     assert inv.mu == inv.tau == 2
+
+
+def test_candidate_precedences():
+    assert _candidate_precedences(("x", "y", "z")) == [
+        ("x", "y", "z"), ("x", "z", "y"), ("y", "x", "z"),
+        ("y", "z", "x"), ("z", "x", "y"), ("z", "y", "x")]
+    assert _candidate_precedences(("z", "y", "x"))[:3] == [
+        ("z", "y", "x"), ("x", "y", "z"), ("x", "z", "y")]
+
+
+def test_many_variable_germ_reaches_the_algebra():
+    # The precedence portfolio must not enumerate all 12! orders first.
+    vars = tuple(f"x{i}" for i in range(12))
+    f = parse_polynomial("x0^3+x1^3+" + "+".join(f"{v}^2" for v in vars[2:]), vars)
+    inv = germ_invariants(f)
+    assert inv.mu == 4 and inv.tau == 4
 
 
 def test_suspension_examples():

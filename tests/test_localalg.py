@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germ import (EQUAL, GREATER, INFINITE, LESS, LocalOrder, MonomialOverflowError,
-                  Polynomial, compare, extend_standard_basis, mora_normal_form,
+                  Polynomial, extend_standard_basis, mora_normal_form,
                   parse_polynomial, quotient_codimension, standard_basis)
-from germ.localalg import StandardBasis, _minimalize
+from germ.localalg import StandardBasis, _corner_degree, _minimalize
 
 V2 = ("x", "y")
 
@@ -33,21 +33,21 @@ def brute_staircase(gens, nvars, box):
 
 def test_compare_examples():
     order = LocalOrder(V2)
-    assert compare((0, 0), (1, 0), order) == GREATER  # 1 beats x locally
-    assert compare((2, 0), (0, 2), order) == GREATER  # revlex: x^2 beats y^2
-    assert compare((1, 0), (1, 0), order) == EQUAL
-    assert compare((0, 2), (2, 0), order) == LESS
+    assert order.compare((0, 0), (1, 0)) == GREATER  # 1 beats x locally
+    assert order.compare((2, 0), (0, 2)) == GREATER  # revlex: x^2 beats y^2
+    assert order.compare((1, 0), (1, 0)) == EQUAL
+    assert order.compare((0, 2), (2, 0)) == LESS
 
 
 def test_compare_ring_mismatch():
     with pytest.raises(ValueError):
-        compare((1, 0), (1, 0, 0), LocalOrder(V2))
+        LocalOrder(V2).compare((1, 0), (1, 0, 0))
 
 
 def test_order_is_total_and_multiplicative():
     order = LocalOrder(("x", "y", "z"))
     monos = list(itertools.product(range(3), repeat=3))
-    keys = {m: order.sort_key(m) for m in monos}
+    keys = {m: order.encode(m) for m in monos}
     assert len(set(keys.values())) == len(monos)
     # compatibility with multiplication: m1 > m2 => m1*t > m2*t
     for m1, m2, t in random.Random(7).sample(
@@ -55,12 +55,12 @@ def test_order_is_total_and_multiplicative():
         if keys[m1] < keys[m2]:
             p1 = tuple(a + b for a, b in zip(m1, t))
             p2 = tuple(a + b for a, b in zip(m2, t))
-            assert order.sort_key(p1) < order.sort_key(p2)
+            assert order.encode(p1) < order.encode(p2)
 
 
 def test_precedence_changes_tie_break():
     order = LocalOrder(V2, precedence=("y", "x"))
-    assert compare((0, 2), (2, 0), order) == GREATER
+    assert order.compare((0, 2), (2, 0)) == GREATER
 
 
 def test_exponent_overflow_detected():
@@ -111,7 +111,7 @@ def test_nf_respects_leading_ideal():
     for text in ["x^3", "x^2*y", "y^4+x^5", "x^2+x*y+y^3"]:
         r = mora_normal_form(P(text), list(basis.generators))
         if r:
-            lead = min(r.terms, key=basis.order.sort_key)
+            lead = min(r.terms, key=basis.order.encode)
             assert not any(all(a >= b for a, b in zip(lead, g))
                            for g in basis.leading_ideal)
 
@@ -229,10 +229,22 @@ def test_staircase_count_matches_brute_enumeration(nvars):
             gens.add(tuple(rng.randint(1, 7) if j == i else 0 for j in range(nvars)))
         mins = _minimalize(list(gens))
         box = [max(g[i] for g in mins) + 1 for i in range(nvars)]
-        expected = len(brute_staircase(mins, nvars, box))
+        stairs = brute_staircase(mins, nvars, box)
         basis = StandardBasis(tuple(Polynomial.monomial(vars, m) for m in mins),
                               tuple(mins), order)
-        assert quotient_codimension(basis) == expected
+        assert quotient_codimension(basis) == len(stairs)
+        # the highest corner: one above the largest staircase degree
+        assert _corner_degree(mins, nvars) == max((sum(m) for m in stairs), default=-1) + 1
+
+
+@pytest.mark.parametrize("nvars", [29, 30])
+def test_codimension_in_many_variables(nvars):
+    # From 30 variables on the packed codes are at least 2**480 wide;
+    # no truncation bound may cut monomials that are still needed.
+    vars = tuple(f"x{i}" for i in range(nvars))
+    f = P("x0^3+x0^2*x1+x1^3+" + "+".join(f"{v}^2" for v in vars[2:]), vars)
+    gradient = [f.partial_derivative(v) for v in vars]
+    assert quotient_codimension(standard_basis(gradient)) == 4
 
 
 def test_codimension_matches_jet_oracle_on_small_ideals():

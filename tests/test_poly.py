@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germ import ParseError, Polynomial, UnknownVariableError, parse_polynomial
-from germ.poly import is_weighted_homogeneous, partial_derivative
 
 VARS2 = ("x", "y")
 
@@ -95,19 +94,19 @@ def test_print_lower_degree_first():
 
 
 def test_partial_derivative_examples():
-    assert partial_derivative(P("x^3+y^4"), "x") == P("3*x^2")
-    assert partial_derivative(P("x^2*y+y^3"), "y") == P("x^2+3*y^2")
-    assert partial_derivative(P("5"), "x") == 0
+    assert P("x^3+y^4").partial_derivative("x") == P("3*x^2")
+    assert P("x^2*y+y^3").partial_derivative("y") == P("x^2+3*y^2")
+    assert P("5").partial_derivative("x") == 0
     with pytest.raises(UnknownVariableError):
-        partial_derivative(P("x"), "w")
+        P("x").partial_derivative("w")
 
 
 def test_weighted_homogeneity_examples():
-    assert is_weighted_homogeneous(P("x^3+y^4"), (4, 3), 12)
-    assert not is_weighted_homogeneous(P("x^3+y^4+x*y^3"), (4, 3), 12)
-    assert is_weighted_homogeneous(Polynomial.zero(VARS2), (1, 1), 7)
+    assert P("x^3+y^4").is_weighted_homogeneous((4, 3), 12)
+    assert not P("x^3+y^4+x*y^3").is_weighted_homogeneous((4, 3), 12)
+    assert Polynomial.zero(VARS2).is_weighted_homogeneous((1, 1), 7)
     with pytest.raises(ValueError):
-        is_weighted_homogeneous(P("x"), (1, 2, 3), 1)
+        P("x").is_weighted_homogeneous((1, 2, 3), 1)
 
 
 # -- property tests -----------------------------------------------------

@@ -4,10 +4,10 @@ import math
 
 import pytest
 
-from germ import (NotPlaneBranchError, branch_milnor, certify_plane_branch,
-                  milnor_number, minimal_generators, monomial_curve_equations,
-                  parse_polynomial, semigroup_from_generators,
-                  space_branch_bound_check)
+from germ import (NotPlaneBranchError, bound_report, branch_milnor,
+                  certify_plane_branch, milnor_number, minimal_generators,
+                  monomial_curve_equations, parse_polynomial,
+                  semigroup_from_generators)
 
 
 def brute_members(gens, bound):
@@ -183,14 +183,19 @@ def test_equations_vanish_under_parameterization():
             assert p.substitute(images) == 0
 
 
+def space_branch_holds(mu, tau):
+    """``mu - tau < mu / 4`` as the catalog decides it for a branch."""
+    return bound_report(mu, tau, 1).verdicts["space_branch_quarter"].holds
+
+
 def test_space_branch_bound_check():
-    assert space_branch_bound_check(16, 16) is True
-    assert space_branch_bound_check(16, 12) is False
-    assert space_branch_bound_check(2288, 1660) is False
+    assert space_branch_holds(16, 16) is True
+    assert space_branch_holds(16, 12) is False
+    assert space_branch_holds(2288, 1660) is False
     with pytest.raises(ValueError):
-        space_branch_bound_check(4, 5)
+        space_branch_holds(4, 5)
     with pytest.raises(ValueError):
-        space_branch_bound_check(4, 0)
+        space_branch_holds(4, 0)
 
 
 def test_branch_with_two_characteristic_pairs_matches_engine():
@@ -206,4 +211,4 @@ def test_branch_with_two_characteristic_pairs_matches_engine():
     assert inv.mu == branch_milnor(s) == 16
     assert inv.weighted_homogeneous_in_coords is None
     assert inv.tau == 14
-    assert space_branch_bound_check(inv.mu, inv.tau) is True
+    assert space_branch_holds(inv.mu, inv.tau) is True
