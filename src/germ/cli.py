@@ -13,16 +13,14 @@ import csv
 import datetime
 import io
 import json
-import signal
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 
-from . import corpus
 from . import selftest as selftest_mod
 from .bounds import BOUND_IDS, BoundReport, SuperisolatedData, bound_report, \
     kerner_nemethi_constant, superisolated_invariants, wahl_tau_min
 from .corpus import ReportRow, SweepSpec, sweep
+from .deadline import deadline
 from .errors import GermError
 from .invariants import germ_invariants, suspend
 from .poly import parse_polynomial
@@ -33,25 +31,6 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 EXIT_EXPECT = 3
-
-
-@contextmanager
-def _deadline(seconds: float | None):
-    """Abort the enclosed computation with TimeoutError after ``seconds``."""
-    if not seconds:
-        yield
-        return
-
-    def handler(signum, frame):
-        raise TimeoutError(f"computation exceeded {seconds} seconds")
-
-    old = signal.signal(signal.SIGALRM, handler)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
 
 
 def _finite_or_none(value) -> int | None:
@@ -134,7 +113,7 @@ def _cmd_invariants(args) -> int:
     inv = None
     timed_out = False
     try:
-        with _deadline(args.timeout):
+        with deadline(args.timeout):
             inv = germ_invariants(f)
     except TimeoutError:
         timed_out = True
@@ -193,7 +172,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_suspend(args) -> int:
     f = parse_polynomial(args.poly, args.vars)
     result = suspend(f, args.power)
-    with _deadline(args.timeout):
+    with deadline(args.timeout):
         base = germ_invariants(f)
         top = germ_invariants(result.suspended)
     payload = {
@@ -357,21 +336,6 @@ def _rows_csv(rows) -> str:
     return buffer.getvalue()
 
 
-def _sweep_with_row_timeouts(spec: SweepSpec, seconds: float):
-    # Per-germ deadlines need the alarm signal, so this path is serial.
-    rows = []
-    timed_out = False
-    for index, f in enumerate(corpus.generate_corpus(spec)):
-        try:
-            with _deadline(seconds):
-                rows.append(corpus.evaluate_germ(index, f))
-        except TimeoutError:
-            timed_out = True
-            rows.append(ReportRow(index, str(f), len(f.vars) - 1, None, None, False,
-                                  None, None, seconds, note="timeout"))
-    return corpus.summarize(spec, rows), timed_out
-
-
 def _cmd_sweep(args) -> int:
     spec = SweepSpec(
         family=args.family, seed=args.seed,
@@ -379,11 +343,8 @@ def _cmd_sweep(args) -> int:
         d_min=args.d_min, d_max=args.d_max, count=args.count,
         suspension_power=args.power,
     )
-    timed_out = False
-    if args.timeout:
-        result, timed_out = _sweep_with_row_timeouts(spec, args.timeout)
-    else:
-        result = sweep(spec, threads=args.threads)
+    result = sweep(spec, threads=args.threads, timeout=args.timeout)
+    timed_out = any(r.note == "timeout" for r in result.rows)
     summary = {
         "germs": len(result.rows),
         "isolated": sum(1 for r in result.rows if r.isolated),
@@ -428,14 +389,15 @@ def _cmd_selftest(args) -> int:
 # Argument parsing
 
 
-def _add_common(sub, csv_flag=False):
+def _add_common(sub, csv_flag=False, timeout_flag=False):
     sub.add_argument("--json", action="store_true", help="emit one JSON object")
     if csv_flag:
         sub.add_argument("--csv", action="store_true", help="emit RFC 4180 CSV rows")
     sub.add_argument("--reproducible", action="store_true",
                      help="suppress the timestamp field in JSON output")
-    sub.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                     help="abort the computation cleanly after this many seconds")
+    if timeout_flag:
+        sub.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+                         help="abort the computation cleanly after this many seconds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,14 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated ring variables, e.g. x,y,z")
     p.add_argument("--poly", required=True, help="germ in the polynomial grammar")
     p.add_argument("--expect", help="comma-separated assertions, e.g. mu=2288,tau=1660")
-    _add_common(p, csv_flag=True)
+    _add_common(p, csv_flag=True, timeout_flag=True)
     p.set_defaults(func=_cmd_invariants)
 
     p = subs.add_parser("suspend", help="add a power of a fresh variable")
     p.add_argument("--vars", required=True, type=lambda s: s.split(","))
     p.add_argument("--poly", required=True)
     p.add_argument("--power", type=int, default=2, help="suspension exponent k >= 2")
-    _add_common(p)
+    _add_common(p, timeout_flag=True)
     p.set_defaults(func=_cmd_suspend)
 
     p = subs.add_parser("semigroup", help="gaps, conductor and plane-branch data")
@@ -508,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=int, default=2, help="suspension exponent")
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes (default: GERM_THREADS or 1)")
-    _add_common(p, csv_flag=True)
+    _add_common(p, csv_flag=True, timeout_flag=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("selftest", help="run the acceptance suite end to end")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import BOUND_IDS, BoundReport, bound_report
+from .deadline import deadline
 from .invariants import germ_invariants, suspend
 from .poly import Polynomial, parse_polynomial
 
@@ -136,8 +137,15 @@ def evaluate_germ(index: int, f: Polynomial) -> ReportRow:
                      inv.ratio, report, elapsed, note=note)
 
 
-def _evaluate_indexed(args) -> ReportRow:
-    return evaluate_germ(*args)
+def _evaluate_row(job) -> ReportRow:
+    """One sweep row; a row past its deadline becomes a ``timeout`` row."""
+    index, f, seconds = job
+    try:
+        with deadline(seconds):
+            return evaluate_germ(index, f)
+    except TimeoutError:
+        return ReportRow(index, str(f), len(f.vars) - 1, None, None, False,
+                         None, None, seconds, note="timeout")
 
 
 @dataclass(frozen=True)
@@ -150,23 +158,26 @@ class SweepResult:
     violations: tuple[str, ...]
 
 
-def sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
+def sweep(spec: SweepSpec, threads: int | None = None,
+          timeout: float | None = None) -> SweepResult:
     """Evaluate a whole corpus; deterministic under a fixed seed.
 
     ``threads`` (or the ``GERM_THREADS`` environment variable) caps the
     number of worker processes; rows keep corpus order regardless.
+    ``timeout`` is a per-row deadline in seconds, enforced in whichever
+    process evaluates the row; a row that misses it is reported with
+    the note ``timeout``.
     """
-    corpus = generate_corpus(spec)
-    jobs = list(enumerate(corpus))
     if threads is None:
         threads = int(os.environ.get("GERM_THREADS", "1"))
     if threads < 1:
         raise ValueError("thread count must be positive")
+    jobs = [(i, f, timeout) for i, f in enumerate(generate_corpus(spec))]
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_evaluate_indexed, jobs))
+            rows = list(pool.map(_evaluate_row, jobs))
     else:
-        rows = [evaluate_germ(i, f) for i, f in jobs]
+        rows = [_evaluate_row(job) for job in jobs]
     return summarize(spec, rows)
 
 

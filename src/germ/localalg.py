@@ -339,25 +339,26 @@ def _corner_degree(lm_exps: list[Monomial], nvars: int) -> int | None:
     return None if stairs is None else stairs[1] + 1
 
 
-def _nf_slice(h: dict, own: list[_Rec], records: list[_Rec], order: LocalOrder,
-              corner_code: int, ceiling: int, work: list, step_limit: int | None):
-    """Mora reduction of ``h`` up to a leading-degree ceiling.
+def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
+            work: list, step_limit: int | None) -> dict:
+    """Reduce ``h`` by ``records`` to its remainder.
 
-    Returns ``("done", terms)`` when ``h`` is irreducible (terms empty
-    when it reduced to zero) and ``("paused", h, own)`` as soon as the
-    leading degree climbs past ``ceiling``.  ``own`` carries the
-    snapshots this particular reduction admitted, so a resumed run is a
-    continuation of the same Mora normal form; reducers from ``records``
-    are scanned first, then the task's own snapshots, earliest first and
-    minimal ecart winning.
+    Returns the remainder as a primitive integer vector, empty when
+    ``h`` reduced to zero; terms at or above ``corner_code`` are
+    dropped.  Reducers from ``records`` are scanned first, then the
+    snapshots of this reduction, earliest first and minimal ecart
+    winning.  Snapshots are taken only while ``corner_code`` is the
+    :func:`_beyond_codes` bound: they are Mora's device for termination.
+    Below a certified corner only finitely many monomials remain and
+    every step lowers the leading one, so plain reduction terminates.
     """
     guard = order._guard
     shift = order._deg_shift
+    mora = corner_code == _beyond_codes(order)
+    own: list[_Rec] = []
     h = {k: v for k, v in h.items() if k < corner_code}
     while h:
         lm_h = min(h)
-        if (lm_h >> shift) > ceiling:
-            return ("paused", h, own)
         best = None
         best_ecart = None
         for r in records:
@@ -374,11 +375,9 @@ def _nf_slice(h: dict, own: list[_Rec], records: list[_Rec], order: LocalOrder,
                     if best is None or e < best_ecart:
                         best, best_ecart = r, e
         if best is None:
-            return ("done", _primitive(h))
-        ecart_h = (max(h) >> shift) - (lm_h >> shift)
-        if best_ecart > ecart_h:
-            snap = _primitive(h)
-            own.append(_make_rec(snap, order))
+            return _primitive(h)
+        if mora and best_ecart > (max(h) >> shift) - (lm_h >> shift):
+            own.append(_make_rec(_primitive(h), order))
         # Work is metered in tail-term operations plus a coefficient-size
         # surcharge, so runaway precedences fail their budget early.
         work[0] += len(best.tail) + 1
@@ -390,7 +389,13 @@ def _nf_slice(h: dict, own: list[_Rec], records: list[_Rec], order: LocalOrder,
             g = gcd(bn, lc)
             bn //= g
             bd *= lc // g
-        work[0] += (bn.bit_length() + bd.bit_length()) >> 3
+        bits = bn.bit_length() + bd.bit_length()
+        # A tail-term operation with a b-bit multiplier costs about
+        # 1 + b/128 + (b/512)^2 times one on small integers (measured):
+        # below 128 bits nothing is added, above it a pre-corner Mora
+        # reduction whose own snapshots compound the coefficients fails
+        # its budget in proportion to its real cost.
+        work[0] += (bits >> 3) + len(best.tail) * ((bits >> 7) + (bits * bits >> 18))
         s = lm_h - best.lm
         for k, c in best.tail.items():
             kk = k + s
@@ -412,7 +417,7 @@ def _nf_slice(h: dict, own: list[_Rec], records: list[_Rec], order: LocalOrder,
                     h[kk] = (num // g, den // g)
                 else:
                     del h[kk]
-    return ("done", h)
+    return h
 
 
 def _spoly(f: _Rec, g: _Rec, lcm_code: int, order: LocalOrder,
@@ -449,22 +454,21 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
               step_limit: int | None = None) -> list[_Rec]:
     """Buchberger completion with Mora normal forms.
 
-    Work items (fresh pairs and partially reduced s-polynomials) are
-    processed by ascending degree, ties by creation order.  A reduction
-    whose leading degree climbs past the degree frontier is paused and
-    requeued, so the basis saturates one degree layer at a time; this
-    is what lets pure powers, and with them the truncation bound below,
-    appear as early as possible.  Pairs among
-    ``records[:start_pairs_from]`` are assumed to reduce to zero
-    already (warm start).
+    Pairs are processed by ascending lcm degree, ties by creation order,
+    and each s-polynomial is reduced to its remainder in one call.
+    Pairs among ``records[:start_pairs_from]`` are assumed to reduce to
+    zero already (warm start).
 
     As soon as the current leading terms certify that all monomials of
     some degree lie in the ideal, every later computation is truncated
     at that degree (and the bound keeps improving as the basis grows);
-    work at or beyond the bound reduces to zero for free.
+    work at or beyond the bound reduces to zero for free.  Mora's ecart
+    snapshots are taken only until that corner is certified: below it
+    the monomials are finitely many, so plain reduction terminates.  A
+    warm start from a basis with a corner never takes one.
     """
     shift = order._deg_shift
-    heap: list = []  # (degree, seq, payload); payload: pair or paused task
+    heap: list = []  # (lcm degree, seq, i, j, lcm_exps, lcm_code)
     pending: set[tuple[int, int]] = set()
     seq = 0
     corner_code = _beyond_codes(order)  # codes at or above it are truncated
@@ -487,47 +491,21 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
         for i in range(lo, t):
             lcm_exps = tuple(max(x, y) for x, y in
                              zip(records[i].lm_exps, records[t].lm_exps))
-            lcm_code = order.encode(lcm_exps)
-            heappush(heap, (sum(lcm_exps), seq, ("pair", i, t, lcm_exps, lcm_code)))
+            heappush(heap, (sum(lcm_exps), seq, i, t, lcm_exps, order.encode(lcm_exps)))
             pending.add((i, t))
             seq += 1
-
-    def run_task(key: tuple[int, int], h: dict, own: list[_Rec], degree: int) -> None:
-        nonlocal seq
-        if not h or min(h) >= corner_code:
-            pending.discard(key)
-            return
-        state = _nf_slice(h, own, records, order, corner_code,
-                          max(degree, min(h) >> shift), work, step_limit)
-        if state[0] == "paused":
-            _, h, own = state
-            heappush(heap, (min(h) >> shift, seq, ("task", key, h, own)))
-            seq += 1
-            return
-        pending.discard(key)
-        rem = state[1]
-        if rem:
-            records.append(_make_rec(rem, order, with_pair_data=True))
-            push_pairs(len(records) - 1)
-            refresh_corner()
 
     refresh_corner()
     for t in range(len(records)):
         push_pairs(t)
 
     while heap:
-        degree, _, item = heappop(heap)
-        if item[0] == "task":
-            _, key, h, own = item
-            run_task(key, h, own, degree)
-            continue
-        _, i, j, lcm_exps, lcm_code = item
+        _, _, i, j, lcm_exps, lcm_code = heappop(heap)
+        pending.discard((i, j))
         if lcm_code >= corner_code:
-            pending.discard((i, j))  # the s-polynomial lives beyond the bound
-            continue
+            continue  # the s-polynomial lives beyond the bound
         fi, gj = records[i], records[j]
         if _coprime_skip(fi, gj):
-            pending.discard((i, j))
             continue
         # Chain criterion: skip when some other leading monomial divides
         # the lcm and both companion pairs were already treated.
@@ -542,9 +520,13 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
                     skip = True
                     break
         if skip:
-            pending.discard((i, j))
             continue
-        run_task((i, j), _spoly(fi, gj, lcm_code, order, corner_code), [], degree)
+        rem = _reduce(_spoly(fi, gj, lcm_code, order, corner_code), records, order,
+                      corner_code, work, step_limit)
+        if rem:
+            records.append(_make_rec(rem, order, with_pair_data=True))
+            push_pairs(len(records) - 1)
+            refresh_corner()
     return records
 
 
@@ -618,9 +600,7 @@ def mora_normal_form(p: Polynomial, G: Sequence[Polynomial], order: LocalOrder |
     h = _encode_poly(p, order)
     if not h or not reducers:
         return p
-    state = _nf_slice(_ratios(h), [], reducers, order, _beyond_codes(order),
-                      1 << 62, [0], None)
-    rem = state[1]
+    rem = _reduce(_ratios(h), reducers, order, _beyond_codes(order), [0], None)
     if rem == h:
         return p
     return _decode_poly(rem, order)

@@ -144,7 +144,7 @@ def test_sweep_json_deterministic(capsys):
 
 @pytest.mark.parametrize("row_timeouts", [False, True])
 def test_sweep_summary_lists_noted_violations(capsys, monkeypatch, row_timeouts):
-    # Both sweep paths must count a row whose note reports a violation.
+    # With or without row deadlines, a row whose note reports a violation counts.
     def fake(index, f):
         return germ.corpus.ReportRow(index, str(f), 2, 8, 7, True, None, None, 0.0,
                                      note="saito direction violated")
@@ -157,6 +157,49 @@ def test_sweep_summary_lists_noted_violations(capsys, monkeypatch, row_timeouts)
     assert code == 1
     assert json.loads(out)["summary"]["violations"] == [
         "row 0: saito direction violated", "row 1: saito direction violated"]
+
+
+def test_sweep_timeout_keeps_worker_pool(capsys, monkeypatch):
+    # Per-row deadlines run inside the workers, so --timeout honours --threads.
+    pools = []
+    real_pool = germ.corpus.ProcessPoolExecutor
+
+    def spy(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    args = ["sweep", "--family", "fermat", "--d-min", "2", "--d-max", "4",
+            "--json", "--reproducible"]
+    code, serial, _ = run(capsys, *args, "--threads", "1")
+    assert code == 0
+    monkeypatch.setattr(germ.corpus, "ProcessPoolExecutor", spy)
+    code, pooled, _ = run(capsys, *args, "--timeout", "60", "--threads", "2")
+    assert code == 0
+    assert pools == [2]
+    assert pooled == serial
+
+
+def test_sweep_row_timeout(capsys, monkeypatch):
+    def slow(index, f):
+        while True:
+            pass
+
+    monkeypatch.setattr(germ.corpus, "evaluate_germ", slow)
+    code, out, err = run(capsys, "sweep", "--family", "fermat", "--d-min", "2",
+                         "--d-max", "2", "--json", "--reproducible", "--timeout", "0.05")
+    assert code == 1
+    assert "timeout" in err
+    assert [row["note"] for row in json.loads(out)["rows"]] == ["timeout"]
+
+
+@pytest.mark.parametrize("command", [
+    ["bounds", "--mu", "8", "--tau", "8", "--n", "2"],
+    ["semigroup", "--generators", "4,6,13"],
+    ["tau-min", "--degree", "4"],
+])
+def test_timeout_only_where_it_acts(capsys, command):
+    code, _, _ = run(capsys, *command, "--timeout", "1")
+    assert code == 2
 
 
 def test_sweep_csv(capsys):

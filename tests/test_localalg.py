@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from germ import (EQUAL, GREATER, INFINITE, LESS, LocalOrder, MonomialOverflowError,
                   Polynomial, extend_standard_basis, mora_normal_form,
-                  parse_polynomial, quotient_codimension, standard_basis)
+                  parse_polynomial, quotient_codimension, standard_basis, wahl_tau_min)
+from germ import localalg
+from germ.errors import ComputationBudgetExceeded
 from germ.localalg import StandardBasis, _corner_degree, _minimalize
 
 V2 = ("x", "y")
@@ -185,6 +187,79 @@ def test_extend_standard_basis_matches_fresh_run():
     fresh = standard_basis(gens + [extra])
     assert set(warm.leading_ideal) == set(fresh.leading_ideal)
     assert quotient_codimension(warm) == quotient_codimension(fresh)
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_superisolated_ladder_agrees_across_precedences(d):
+    # Closed forms mu=(d-1)^3 and tau=wahl_tau_min(d) under every
+    # precedence, with the Tjurina ideal completed both as a warm start
+    # and from scratch.  The gradient leads with pure powers here, so a
+    # corner is certified before the first reduction.
+    vs = ("x", "y", "z")
+    f = parse_polynomial(f"x^{d}+y^{d}+z^{d}+(x+y+z)^{d + 1}", vs)
+    grad = [f.partial_derivative(v) for v in vs]
+    for prec in itertools.permutations(vs):
+        order = LocalOrder(vs, prec)
+        jac = standard_basis(grad, order)
+        assert quotient_codimension(jac) == (d - 1) ** 3
+        assert quotient_codimension(extend_standard_basis(jac, [f])) == wahl_tau_min(d)
+        assert quotient_codimension(standard_basis(grad + [f], order)) == wahl_tau_min(d)
+
+
+@pytest.mark.parametrize("p,q,r", [(2, 3, 7), (3, 3, 4), (2, 4, 5), (3, 4, 5)])
+def test_cusp_family_agrees_across_precedences(monkeypatch, p, q, r):
+    # T_pqr = x^p+y^q+z^r+xyz has mu = p+q+r-1 and tau = mu-1.  Its
+    # gradient has no pure powers, so Jacobian runs reduce with ecart
+    # snapshots until a corner is certified; the warm-started Tjurina
+    # run inherits that corner and must take none.
+    snapshots = []
+    make_rec = localalg._make_rec
+
+    def spy(terms, order, with_pair_data=False):
+        if not with_pair_data:
+            snapshots.append(terms)
+        return make_rec(terms, order, with_pair_data)
+
+    monkeypatch.setattr(localalg, "_make_rec", spy)
+    vs = ("x", "y", "z")
+    f = parse_polynomial(f"x^{p}+y^{q}+z^{r}+x*y*z", vs)
+    grad = [f.partial_derivative(v) for v in vs]
+    taken = []
+    for prec in itertools.permutations(vs):
+        order = LocalOrder(vs, prec)
+        jac = standard_basis(grad, order)
+        assert quotient_codimension(jac) == p + q + r - 1
+        taken.append(len(snapshots))
+        snapshots.clear()
+        assert quotient_codimension(extend_standard_basis(jac, [f])) == p + q + r - 2
+        assert snapshots == []
+        assert quotient_codimension(standard_basis(grad + [f], order)) == p + q + r - 2
+        snapshots.clear()
+    if (p, q, r) == (2, 3, 7):
+        assert all(taken)  # the pre-corner path runs under every precedence
+
+
+def test_budget_charges_coefficient_growth(monkeypatch):
+    # Under (y,z,x) one pre-corner s-polynomial of the paper's germ is
+    # reduced again and again by its own snapshots, which double its
+    # coefficients each time.  Tail-term operations are charged by
+    # multiplier size, so a 1M-unit budget runs out while the records
+    # stay below 1000 bits (about 1 s); charged like small integers, the
+    # same budget ran on to 4000-bit snapshots (about 15 s).
+    bits = []
+    make_rec = localalg._make_rec
+
+    def spy(terms, order, with_pair_data=False):
+        bits.append(max(abs(c).bit_length() for c in terms.values()))
+        return make_rec(terms, order, with_pair_data)
+
+    monkeypatch.setattr(localalg, "_make_rec", spy)
+    vs = ("y", "z", "x")
+    f = parse_polynomial("x^14+y^6*z^8+z^14+x^9*z^5+(x+y+z)^15", vs)
+    grad = [f.partial_derivative(v) for v in vs]
+    with pytest.raises(ComputationBudgetExceeded):
+        standard_basis(grad, LocalOrder(vs, vs), step_limit=1_000_000)
+    assert 100 < max(bits) < 1000
 
 
 def test_extend_standard_basis_trivial_cases():
