@@ -13,16 +13,17 @@ import csv
 import datetime
 import io
 import json
+import math
+import os
 import sys
 from fractions import Fraction
 
 from . import selftest as selftest_mod
 from .bounds import BOUND_IDS, BoundReport, SuperisolatedData, bound_report, \
     kerner_nemethi_constant, superisolated_invariants, wahl_tau_min
-from .corpus import ReportRow, SweepSpec, sweep
-from .deadline import deadline
+from .corpus import ReportRow, SweepSpec, evaluate_row, sweep
 from .errors import GermError
-from .invariants import germ_invariants, suspend
+from .invariants import suspend
 from .poly import parse_polynomial
 from .semigroup import (branch_milnor, certify_plane_branch, monomial_curve_equations,
                         semigroup_from_generators)
@@ -33,10 +34,6 @@ EXIT_USAGE = 2
 EXIT_EXPECT = 3
 
 
-def _finite_or_none(value) -> int | None:
-    return value if isinstance(value, int) else None
-
-
 def _fraction_fields(name: str, value: Fraction | None) -> dict:
     if value is None:
         return {f"{name}_num": None, f"{name}_den": None}
@@ -44,14 +41,11 @@ def _fraction_fields(name: str, value: Fraction | None) -> dict:
 
 
 def _bounds_json(report: BoundReport | None) -> dict:
-    out = {}
     if report is None:
-        return out
-    for key in BOUND_IDS:
-        v = report.verdicts[key]
-        out[key] = {"applicable": v.applicable, "holds": v.holds,
-                    **_fraction_fields("margin", v.margin)}
-    return out
+        return {}
+    verdicts = report.verdicts
+    return {key: {"applicable": verdicts[key].applicable, "holds": verdicts[key].holds,
+                  **_fraction_fields("margin", verdicts[key].margin)} for key in BOUND_IDS}
 
 
 def _emit_json(payload: dict, reproducible: bool) -> None:
@@ -108,88 +102,85 @@ def _check_expect(expected: dict[str, int], computed: dict[str, int | None]) -> 
 # Subcommands
 
 
+def _timed_out(rows, seconds) -> bool:
+    """Whether a row missed its deadline; if one did, say so on stderr."""
+    if not any(r.note == "timeout" for r in rows):
+        return False
+    print(f"timeout: a germ exceeded the {seconds} s deadline; partial report emitted",
+          file=sys.stderr)
+    return True
+
+
+def _mu_tau_text(row: ReportRow, sep: str = " ") -> str:
+    if row.note == "timeout":
+        return f"timeout after {row.wall_time_s}s"
+    if not row.isolated:
+        return f"mu=infinite{sep}tau=infinite"
+    return f"mu={row.mu}{sep}tau={row.tau}"
+
+
 def _cmd_invariants(args) -> int:
     f = parse_polynomial(args.poly, args.vars)
-    inv = None
-    timed_out = False
-    try:
-        with deadline(args.timeout):
-            inv = germ_invariants(f)
-    except TimeoutError:
-        timed_out = True
-    report = None
-    if inv is not None and inv.isolated and inv.tau >= 1 and inv.germ_dimension >= 1:
-        report = bound_report(inv.mu, inv.tau, inv.germ_dimension)
+    row = evaluate_row(0, f, args.timeout)
     payload = {
-        "germ": str(f),
+        "germ": row.germ,
         "vars": list(f.vars),
-        "n": len(f.vars) - 1,
-        "mu": _finite_or_none(inv.mu) if inv else None,
-        "tau": _finite_or_none(inv.tau) if inv else None,
-        "isolated": inv.isolated if inv else None,
-        **_fraction_fields("ratio", inv.ratio if inv else None),
-        "weights": list(inv.weighted_homogeneous_in_coords[0])
-        if inv and inv.weighted_homogeneous_in_coords else None,
-        "weighted_degree": inv.weighted_homogeneous_in_coords[1]
-        if inv and inv.weighted_homogeneous_in_coords else None,
-        "bounds": _bounds_json(report),
-        "timeout": timed_out,
+        "n": row.n,
+        "mu": row.mu,
+        "tau": row.tau,
+        "isolated": row.isolated,
+        **_fraction_fields("ratio", row.ratio),
+        "weights": list(row.weights[0]) if row.weights else None,
+        "weighted_degree": row.weights[1] if row.weights else None,
+        "bounds": _bounds_json(row.report),
+        "timeout": row.note == "timeout",
     }
     if args.json:
         _emit_json(payload, args.reproducible)
-    elif getattr(args, "csv", False):
-        row = ReportRow(0, str(f), len(f.vars) - 1,
-                        payload["mu"], payload["tau"], bool(payload["isolated"]),
-                        inv.ratio if inv else None, report, 0.0,
-                        note="timeout" if timed_out else "")
+    elif args.csv:
         sys.stdout.write(_rows_csv([row]))
-    elif timed_out:
-        print(f"germ: {f}")
-        print(f"timeout after {args.timeout}s; partial report only")
     else:
-        mu = inv.mu if inv.isolated else "infinite"
-        print(f"germ: {f}")
-        print(f"n={inv.germ_dimension}  mu={mu}  tau={inv.tau if inv.isolated else 'infinite'}")
-        if inv.ratio is not None:
-            print(f"mu/tau = {inv.ratio} ~ {float(inv.ratio):.6f}")
-        if inv.weighted_homogeneous_in_coords:
-            w, d = inv.weighted_homogeneous_in_coords
-            print(f"weighted homogeneous: weights {w}, degree {d}")
+        print(f"germ: {row.germ}")
+        if row.note == "timeout":
+            print(f"timeout after {args.timeout}s; partial report only")
         else:
-            print("weighted homogeneous: no (in the given coordinates)")
-        if report is not None:
-            print("bounds:")
-            print(_bounds_text(report))
-    if timed_out:
-        print(f"timeout: computation exceeded {args.timeout} seconds", file=sys.stderr)
+            print(f"n={row.n}  {_mu_tau_text(row, '  ')}")
+            if row.ratio is not None:
+                print(f"mu/tau = {row.ratio} ~ {float(row.ratio):.6f}")
+            if row.weights:
+                print(f"weighted homogeneous: weights {row.weights[0]}, degree {row.weights[1]}")
+            else:
+                print("weighted homogeneous: no (in the given coordinates)")
+            if row.report is not None:
+                print("bounds:")
+                print(_bounds_text(row.report))
+    if _timed_out([row], args.timeout):
         return EXIT_COMPUTE
     if args.expect:
-        return _check_expect(_parse_expect(args.expect),
-                             {"mu": _finite_or_none(inv.mu), "tau": _finite_or_none(inv.tau)})
+        return _check_expect(_parse_expect(args.expect), {"mu": row.mu, "tau": row.tau})
     return EXIT_OK
 
 
 def _cmd_suspend(args) -> int:
     f = parse_polynomial(args.poly, args.vars)
     result = suspend(f, args.power)
-    with deadline(args.timeout):
-        base = germ_invariants(f)
-        top = germ_invariants(result.suspended)
+    base = evaluate_row(0, f, args.timeout)
+    top = evaluate_row(1, result.suspended, args.timeout)
     payload = {
         "germ": str(f),
         "suspended": str(result.suspended),
         "new_variable": result.new_variable,
         "power": args.power,
-        "base_mu": _finite_or_none(base.mu), "base_tau": _finite_or_none(base.tau),
-        "mu": _finite_or_none(top.mu), "tau": _finite_or_none(top.tau),
+        "base_mu": base.mu, "base_tau": base.tau,
+        "mu": top.mu, "tau": top.tau,
     }
     if args.json:
         _emit_json(payload, args.reproducible)
     else:
         print(f"suspended germ: {result.suspended}   (new variable {result.new_variable})")
-        print(f"base: mu={base.mu} tau={base.tau}")
-        print(f"suspension: mu={top.mu} tau={top.tau}")
-    return EXIT_OK
+        print(f"base: {_mu_tau_text(base)}")
+        print(f"suspension: {_mu_tau_text(top)}")
+    return EXIT_COMPUTE if _timed_out([base, top], args.timeout) else EXIT_OK
 
 
 def _cmd_semigroup(args) -> int:
@@ -312,27 +303,20 @@ def _row_json(row: ReportRow, reproducible: bool = False) -> dict:
 
 _CSV_BASE = ("index", "germ", "n", "mu", "tau", "isolated",
              "ratio_num", "ratio_den", "ratio_decimal")
+_CSV_BOUND = ("applicable", "holds", "margin_num", "margin_den")
 
 
 def _rows_csv(rows) -> str:
     buffer = io.StringIO()
-    header = list(_CSV_BASE)
-    for key in BOUND_IDS:
-        header += [f"{key}.applicable", f"{key}.holds", f"{key}.margin_num", f"{key}.margin_den"]
-    header.append("wall_time_s")
     writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(header)
+    writer.writerow([*_CSV_BASE, *(f"{key}.{field}" for key in BOUND_IDS for field in _CSV_BOUND),
+                     "wall_time_s"])
     for row in rows:
         data = _row_json(row)
-        record = [data[k] for k in _CSV_BASE]
-        for key in BOUND_IDS:
-            v = data["bounds"].get(key)
-            if v is None:
-                record += [None, None, None, None]
-            else:
-                record += [v["applicable"], v["holds"], v["margin_num"], v["margin_den"]]
-        record.append(data["wall_time_s"])
-        writer.writerow(record)
+        writer.writerow([*(data[k] for k in _CSV_BASE),
+                         *(data["bounds"].get(key, {}).get(field)
+                           for key in BOUND_IDS for field in _CSV_BOUND),
+                         data["wall_time_s"]])
     return buffer.getvalue()
 
 
@@ -344,7 +328,6 @@ def _cmd_sweep(args) -> int:
         suspension_power=args.power,
     )
     result = sweep(spec, threads=args.threads, timeout=args.timeout)
-    timed_out = any(r.note == "timeout" for r in result.rows)
     summary = {
         "germs": len(result.rows),
         "isolated": sum(1 for r in result.rows if r.isolated),
@@ -368,8 +351,7 @@ def _cmd_sweep(args) -> int:
               f"min ratio {result.min_ratio}, max ratio {result.max_ratio}, "
               f"min 4/3 margin {result.min_43_margin}, "
               f"{len(result.violations)} bound violations")
-    if timed_out:
-        print("timeout: some rows were aborted; partial report emitted", file=sys.stderr)
+    timed_out = _timed_out(result.rows, args.timeout)
     return EXIT_COMPUTE if (result.violations or timed_out) else EXIT_OK
 
 
@@ -389,6 +371,13 @@ def _cmd_selftest(args) -> int:
 # Argument parsing
 
 
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number of seconds >= 0")
+    return value
+
+
 def _add_common(sub, csv_flag=False, timeout_flag=False):
     sub.add_argument("--json", action="store_true", help="emit one JSON object")
     if csv_flag:
@@ -396,8 +385,9 @@ def _add_common(sub, csv_flag=False, timeout_flag=False):
     sub.add_argument("--reproducible", action="store_true",
                      help="suppress the timestamp field in JSON output")
     if timeout_flag:
-        sub.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                         help="abort the computation cleanly after this many seconds")
+        sub.add_argument("--timeout", type=_seconds, default=None, metavar="SECONDS",
+                         help="deadline per germ in seconds, a finite number >= 0 "
+                              "(0: none); a germ past it gets a partial report")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,9 +477,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
-    except TimeoutError as exc:
-        print(f"timeout: {exc}", file=sys.stderr)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Keep the flush at interpreter exit from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_COMPUTE
     except (GermError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

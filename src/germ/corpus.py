@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import BOUND_IDS, BoundReport, bound_report
-from .deadline import deadline
-from .invariants import germ_invariants, suspend
+from .invariants import WeightVector, germ_invariants, suspend
 from .poly import Polynomial, parse_polynomial
 
 FAMILIES = ("fermat", "suspension", "quasihomogeneous_2var", "deformed_quasihomogeneous")
@@ -106,18 +107,22 @@ def generate_corpus(spec: SweepSpec) -> list[Polynomial]:
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One germ of a sweep: invariants, verdicts and timing."""
+    """One evaluated germ: invariants, verdicts, weights and timing.
+
+    ``isolated`` is None when the row missed its deadline (never decided).
+    """
 
     index: int
     germ: str
     n: int
     mu: int | None
     tau: int | None
-    isolated: bool
+    isolated: bool | None
     ratio: Fraction | None
     report: BoundReport | None
     wall_time_s: float
     note: str = ""
+    weights: WeightVector | None = None
 
 
 def evaluate_germ(index: int, f: Polynomial) -> ReportRow:
@@ -125,26 +130,53 @@ def evaluate_germ(index: int, f: Polynomial) -> ReportRow:
     start = time.perf_counter()
     inv = germ_invariants(f)
     elapsed = time.perf_counter() - start
+    weights = inv.weighted_homogeneous_in_coords
     if not inv.isolated:
-        return ReportRow(index, str(f), inv.germ_dimension, None, None, False,
-                         None, None, elapsed, note="non-isolated; excluded from summary")
+        return ReportRow(index, str(f), inv.germ_dimension, None, None, False, None,
+                         None, elapsed, "non-isolated; excluded from summary", weights)
     report = (bound_report(inv.mu, inv.tau, inv.germ_dimension)
               if inv.germ_dimension >= 1 and inv.tau >= 1 else None)
     note = ""
-    if inv.weighted_homogeneous_in_coords is not None and inv.mu != inv.tau:
+    if weights is not None and inv.mu != inv.tau:
         note = "saito direction violated"  # impossible unless the engine is broken
     return ReportRow(index, str(f), inv.germ_dimension, inv.mu, inv.tau, True,
-                     inv.ratio, report, elapsed, note=note)
+                     inv.ratio, report, elapsed, note=note, weights=weights)
 
 
-def _evaluate_row(job) -> ReportRow:
-    """One sweep row; a row past its deadline becomes a ``timeout`` row."""
-    index, f, seconds = job
+@contextmanager
+def deadline(seconds: float | None):
+    """Abort the enclosed computation with TimeoutError after ``seconds``.
+
+    Uses the alarm signal, so it works in the main thread of any
+    process, sweep workers included; ``None`` or 0 sets no deadline.
+    A value the timer cannot take raises ValueError.
+    """
+    if not seconds:
+        yield
+        return
+
+    def handler(signum, frame):
+        raise TimeoutError(f"computation exceeded {seconds} seconds")
+
+    old = signal.signal(signal.SIGALRM, handler)
+    try:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, seconds)
+        except (OverflowError, signal.ItimerError):
+            raise ValueError(f"cannot set a deadline of {seconds} seconds") from None
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def evaluate_row(index: int, f: Polynomial, seconds: float | None) -> ReportRow:
+    """``evaluate_germ`` under a deadline; a row past it becomes a ``timeout`` row."""
     try:
         with deadline(seconds):
             return evaluate_germ(index, f)
     except TimeoutError:
-        return ReportRow(index, str(f), len(f.vars) - 1, None, None, False,
+        return ReportRow(index, str(f), len(f.vars) - 1, None, None, None,
                          None, None, seconds, note="timeout")
 
 
@@ -172,12 +204,13 @@ def sweep(spec: SweepSpec, threads: int | None = None,
         threads = int(os.environ.get("GERM_THREADS", "1"))
     if threads < 1:
         raise ValueError("thread count must be positive")
-    jobs = [(i, f, timeout) for i, f in enumerate(generate_corpus(spec))]
-    if threads > 1 and len(jobs) > 1:
+    germs = generate_corpus(spec)
+    jobs = (range(len(germs)), germs, [timeout] * len(germs))
+    if threads > 1 and len(germs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_evaluate_row, jobs))
+            rows = list(pool.map(evaluate_row, *jobs))
     else:
-        rows = [_evaluate_row(job) for job in jobs]
+        rows = list(map(evaluate_row, *jobs))
     return summarize(spec, rows)
 
 

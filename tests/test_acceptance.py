@@ -39,10 +39,13 @@ def test_criterion_1_benchmark_germ_runtime_bounded():
 
 
 def test_criterion_1_cli_expectation():
+    # The CLI's --expect path on a superisolated germ with closed forms
+    # mu = (d-1)^3 and tau = wahl_tau_min(d) at d = 6.  The paper's germ
+    # itself is computed once, by the criterion 1 test above.
     from germ.cli import main
     code = main(["invariants", "--vars", "x,y,z",
-                 "--poly", selftest.BENCHMARK_GERM_TEXT,
-                 "--expect", "mu=2288,tau=1660"])
+                 "--poly", "x^6+y^6+z^6+(x+y+z)^7",
+                 "--expect", "mu=125,tau=105"])
     assert code == 0
 
 

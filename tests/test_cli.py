@@ -3,11 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import germ.corpus
 from germ.cli import main
+
+BENCHMARK_GERM = "x^14+y^6*z^8+z^14+x^9*z^5+(x+y+z)^15"
 
 
 def run(capsys, *argv):
@@ -189,7 +194,9 @@ def test_sweep_row_timeout(capsys, monkeypatch):
                          "--d-max", "2", "--json", "--reproducible", "--timeout", "0.05")
     assert code == 1
     assert "timeout" in err
-    assert [row["note"] for row in json.loads(out)["rows"]] == ["timeout"]
+    rows = json.loads(out)["rows"]
+    assert [row["note"] for row in rows] == ["timeout"]
+    assert rows[0]["isolated"] is None  # never decided
 
 
 @pytest.mark.parametrize("command", [
@@ -216,9 +223,64 @@ def test_sweep_csv(capsys):
 
 def test_timeout_flag(capsys):
     code, _, err = run(capsys, "invariants", "--vars", "x,y,z", "--poly",
-                       "x^14+y^6*z^8+z^14+x^9*z^5+(x+y+z)^15", "--timeout", "0.05")
+                       BENCHMARK_GERM, "--timeout", "0.05")
     assert code == 1
     assert "timeout" in err
+
+
+def test_invariants_csv_timeout_leaves_isolated_empty(capsys):
+    code, out, _ = run(capsys, "invariants", "--vars", "x,y,z", "--poly",
+                       BENCHMARK_GERM, "--timeout", "0.05", "--csv")
+    assert code == 1
+    header, row = list(csv.reader(io.StringIO(out)))
+    assert row[header.index("isolated")] == ""
+    assert row[header.index("wall_time_s")] == "0.05"
+
+
+def test_suspend_timeout_prints_partial_report(capsys):
+    code, out, err = run(capsys, "suspend", "--vars", "x,y,z", "--poly", BENCHMARK_GERM,
+                         "--timeout", "0.05", "--json", "--reproducible")
+    assert code == 1
+    assert "timeout" in err
+    data = json.loads(out)
+    assert data["base_mu"] is None and data["mu"] is None
+
+
+def test_suspend_non_isolated_text(capsys):
+    code, out, _ = run(capsys, "suspend", "--vars", "x,y", "--poly", "x^2")
+    assert code == 0
+    assert "base: mu=infinite tau=infinite" in out
+    assert "suspension: mu=infinite tau=infinite" in out
+
+
+@pytest.mark.parametrize("value", ["-1", "inf"])
+def test_timeout_out_of_range_is_a_usage_error(capsys, value):
+    code, _, err = run(capsys, "invariants", "--vars", "x,y", "--poly", "x^3+y^4",
+                       "--timeout", value)
+    assert code == 2
+    assert "--timeout" in err
+
+
+def test_timeout_beyond_the_alarm_timer_is_an_error(capsys):
+    code, _, err = run(capsys, "sweep", "--family", "fermat", "--d-min", "2",
+                       "--d-max", "2", "--timeout", "1e300")
+    assert code == 1
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_closed_stdout_exits_cleanly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "germ.cli", "invariants", "--vars", "x,y",
+             "--poly", "x^3+y^4", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_invariants_csv(capsys):
