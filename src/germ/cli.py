@@ -346,8 +346,11 @@ def _cmd_sweep(args) -> int:
         for r in result.rows:
             ratio = f"{r.ratio} ~ {float(r.ratio):.4f}" if r.ratio is not None else "-"
             note = f"  [{r.note}]" if r.note else ""
-            print(f"[{r.index:3d}] {r.germ}: mu={r.mu} tau={r.tau} mu/tau={ratio}{note}")
+            print(f"[{r.index:3d}] {r.germ}: {_mu_tau_text(r)} mu/tau={ratio}{note}")
+        non_isolated = sum(1 for r in result.rows if r.isolated is False)
+        timeouts = sum(1 for r in result.rows if r.note == "timeout")
         print(f"summary: {summary['germs']} germs, {summary['isolated']} isolated, "
+              f"{non_isolated} non-isolated, {timeouts} timed out, "
               f"min ratio {result.min_ratio}, max ratio {result.max_ratio}, "
               f"min 4/3 margin {result.min_43_margin}, "
               f"{len(result.violations)} bound violations")

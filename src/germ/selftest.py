@@ -10,12 +10,13 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable
 
 from .bounds import (SuperisolatedData, bound_report, kerner_nemethi_constant,
                      superisolated_invariants, wahl_tau_min)
 from .corpus import deformed_corpus, quasihomogeneous_corpus
-from .invariants import germ_invariants, jacobian_basis, milnor_number, suspend
+from .invariants import GermInvariants, germ_invariants, jacobian_basis, milnor_number, suspend
 from .jets import jet_quotient_dimension
 from .localalg import quotient_codimension
 from .poly import Polynomial, parse_polynomial
@@ -67,12 +68,11 @@ def criterion_1() -> CriterionResult:
     return _run(1, "benchmark superisolated germ", body)
 
 
-def criterion_2(corpus: list[Polynomial]) -> CriterionResult:
+def criterion_2(corpus: list[Polynomial], invariants: list[GermInvariants]) -> CriterionResult:
     def body() -> str:
         assert len(corpus) >= 200, f"corpus has only {len(corpus)} germs"
         worst = None
-        for f in corpus:
-            inv = germ_invariants(f)
+        for f, inv in zip(corpus, invariants):
             assert inv.isolated, f"non-isolated corpus germ {f}"
             margin = 4 * inv.tau - 3 * inv.mu
             assert margin > 0, f"3mu<4tau fails for {f}: mu={inv.mu} tau={inv.tau}"
@@ -82,12 +82,12 @@ def criterion_2(corpus: list[Polynomial]) -> CriterionResult:
     return _run(2, "plane-curve 4/3 bound on corpus", body)
 
 
-def criterion_3(corpus: list[Polynomial], count: int = 50) -> CriterionResult:
+def criterion_3(corpus: list[Polynomial], invariants: list[GermInvariants],
+                count: int = 50) -> CriterionResult:
     def body() -> str:
         sample = corpus[:count]
         assert len(sample) >= 50, "need at least 50 germs"
-        for f in sample:
-            base = germ_invariants(f)
+        for f, base in zip(sample, invariants):
             top = germ_invariants(suspend(f, 2).suspended)
             assert top.mu == base.mu, f"mu changed under suspension for {f}"
             assert top.tau == base.tau, f"tau changed under suspension for {f}"
@@ -95,11 +95,10 @@ def criterion_3(corpus: list[Polynomial], count: int = 50) -> CriterionResult:
     return _run(3, "suspension invariance of mu and tau", body)
 
 
-def criterion_4(corpus: list[Polynomial]) -> CriterionResult:
+def criterion_4(corpus: list[Polynomial], invariants: list[GermInvariants]) -> CriterionResult:
     def body() -> str:
         with_weights = 0
-        for f in corpus:
-            inv = germ_invariants(f)
+        for f, inv in zip(corpus, invariants):
             if inv.weighted_homogeneous_in_coords is not None:
                 with_weights += 1
                 assert inv.mu == inv.tau, f"weights present but mu!=tau for {f}"
@@ -129,14 +128,14 @@ def criterion_5(corpus: list[Polynomial]) -> CriterionResult:
     return _run(5, "jet-oracle equivalence for mu <= 30", body)
 
 
-def criterion_6(corpus: list[Polynomial]) -> CriterionResult:
+def criterion_6(corpus: list[Polynomial], invariants: list[GermInvariants]) -> CriterionResult:
     def body() -> str:
         three_var = [suspend(f, 2).suspended for f in corpus[:25]]
         three_var += [parse_polynomial(f"x^{d}+y^{d}+z^{d}", ["x", "y", "z"])
                       for d in range(2, 7)]
         checked = 0
-        for f in corpus + three_var:
-            inv = germ_invariants(f)
+        evaluated = chain(zip(corpus, invariants), ((g, germ_invariants(g)) for g in three_var))
+        for f, inv in evaluated:
             if not inv.isolated:
                 continue
             N = inv.germ_dimension + 1
@@ -217,14 +216,15 @@ def criterion_9() -> CriterionResult:
 def run_all(fast: bool = False) -> list[CriterionResult]:
     """Run every acceptance criterion; ``fast`` skips the heavy benchmark germ."""
     corpus = acceptance_corpus()
+    invariants = [germ_invariants(f) for f in corpus]  # shared by criteria 2, 3, 4, 6
     results = []
     if not fast:
         results.append(criterion_1())
-    results.append(criterion_2(corpus))
-    results.append(criterion_3(corpus))
-    results.append(criterion_4(corpus))
+    results.append(criterion_2(corpus, invariants))
+    results.append(criterion_3(corpus, invariants))
+    results.append(criterion_4(corpus, invariants))
     results.append(criterion_5(corpus))
-    results.append(criterion_6(corpus))
+    results.append(criterion_6(corpus, invariants))
     results.append(criterion_7())
     results.append(criterion_8())
     results.append(criterion_9())

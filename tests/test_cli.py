@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import germ.corpus
+from germ import parse_polynomial
 from germ.cli import main
 
 BENCHMARK_GERM = "x^14+y^6*z^8+z^14+x^9*z^5+(x+y+z)^15"
@@ -197,6 +198,33 @@ def test_sweep_row_timeout(capsys, monkeypatch):
     rows = json.loads(out)["rows"]
     assert [row["note"] for row in rows] == ["timeout"]
     assert rows[0]["isolated"] is None  # never decided
+
+
+def test_sweep_text_reports_timeouts_apart(capsys, monkeypatch):
+    # Row 0 hangs past its deadline, row 1 is replaced by a non-isolated
+    # germ, row 2 is x^4+y^4+z^4; text output prints each the way
+    # `invariants` does and counts the three kinds apart.
+    evaluate = germ.corpus.evaluate_germ
+
+    def rigged(index, f):
+        if index == 0:
+            while True:
+                pass
+        if index == 1:
+            f = parse_polynomial("x^2", f.vars)
+        return evaluate(index, f)
+
+    monkeypatch.setattr(germ.corpus, "evaluate_germ", rigged)
+    code, out, err = run(capsys, "sweep", "--family", "fermat", "--d-min", "2",
+                         "--d-max", "4", "--timeout", "0.2")
+    assert code == 1
+    assert "timeout" in err
+    lines = out.splitlines()
+    assert not any("None" in line for line in lines[:3])
+    assert "timeout after 0.2s" in lines[0]
+    assert "mu=infinite tau=infinite" in lines[1]
+    assert "mu=27 tau=27" in lines[2]
+    assert "3 germs, 1 isolated, 1 non-isolated, 1 timed out," in lines[3]
 
 
 @pytest.mark.parametrize("command", [

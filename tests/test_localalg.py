@@ -1,6 +1,7 @@
 """Local order, Mora normal form, standard bases, staircase counting."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -132,6 +133,113 @@ def test_nf_confluence_zero_verdict_under_reducer_permutations():
         assert len(verdicts) == 1
 
 
+# -- the reduction kernel ----------------------------------------------------
+
+
+def fraction_reduce(h, reducers, order, corner, work, step_limit):
+    """Oracle for ``localalg._reduce`` over ``Fraction`` coefficients.
+
+    The same reducer rule (the first divisor of minimal ecart, the
+    reducers before this reduction's own snapshots) and the same meter:
+    ``len(tail) + 1`` units per step, plus ``(b >> 3) + len(tail) *
+    ((b >> 7) + (b*b >> 18))`` for the multiplier ``h[lm]/lc`` of
+    ``b = bits(numerator) + bits(denominator)``.  ``corner`` is a degree,
+    or None for Mora's snapshots.  Returns ``(remainder, units)`` with
+    the remainder primitive and its leading coefficient positive, or
+    ``(None, units)`` when the units exceed ``step_limit``.
+    """
+    def exps(code):
+        return order.decode(code)
+
+    def degree(code):
+        return sum(exps(code))
+
+    def primitive(terms):
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        ints = {k: int(c * den) for k, c in terms.items()}
+        g = math.gcd(*ints.values())
+        if ints[min(ints)] < 0:
+            g = -g
+        return {k: v // g for k, v in ints.items()}
+
+    def ecart(terms):
+        return degree(max(terms)) - degree(min(terms))
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(exps(a), exps(b)))
+
+    kept = (lambda code: True) if corner is None else (lambda code: degree(code) < corner)
+    h = {k: Fraction(c) for k, c in h.items() if kept(k)}
+    own = []
+    while h:
+        lm = min(h)
+        usable = [r for r in reducers + own if divides(min(r), lm)]
+        if not usable:
+            return primitive(h), work
+        best = min(usable, key=ecart)
+        if corner is None and ecart(best) > ecart(h):
+            own.append(primitive(h))
+        lc = best[min(best)]
+        tail = len(best) - 1
+        work += tail + 1
+        if work > step_limit:
+            return None, work
+        q = h[lm] / lc
+        bits = q.numerator.bit_length() + q.denominator.bit_length()
+        work += (bits >> 3) + tail * ((bits >> 7) + (bits * bits >> 18))
+        shift = [x - y for x, y in zip(exps(lm), exps(min(best)))]
+        for k, c in best.items():
+            kk = order.encode(tuple(x + y for x, y in zip(exps(k), shift)))
+            if kept(kk):
+                h[kk] = h.get(kk, 0) - q * c
+                if not h[kk]:
+                    del h[kk]
+    return {}, work
+
+
+@st.composite
+def reductions(draw):
+    """A ring order, integer reducers with non-unit leading coefficients, an input."""
+    vs = ("x", "y", "z")[:draw(st.integers(2, 3))]
+    order = LocalOrder(vs, draw(st.permutations(vs)))
+    monomial = st.tuples(*[st.integers(0, 3)] * len(vs))
+    small = st.integers(-9, 9).filter(bool)
+    lead = st.one_of(st.integers(2, 30), st.integers(1 << 20, 1 << 40))
+
+    def vector(lead_coefficients):
+        terms = {order.encode(m): c for m, c in draw(
+            st.dictionaries(monomial, small, min_size=1, max_size=5)).items()}
+        terms[min(terms)] = draw(lead_coefficients) * draw(st.sampled_from((1, -1)))
+        return terms
+
+    reducers = [vector(lead) for _ in range(draw(st.integers(1, 4)))]
+    h = vector(st.one_of(small, lead))
+    corner = draw(st.one_of(st.none(), st.integers(2, 8)))
+    return (order, reducers, h, corner, draw(st.integers(0, 50)),
+            draw(st.integers(20, 3000)))
+
+
+@given(reductions())
+@settings(max_examples=300, deadline=None)
+def test_reduce_matches_fraction_oracle(case):
+    # The fraction-free kernel returns the oracle's remainder and charges
+    # the same units, or runs out of budget at the same point, both with
+    # Mora's snapshots (no corner yet) and with terms truncated at a
+    # corner degree, where no snapshot is taken.
+    order, reducers, h, corner, start, step_limit = case
+    expected, units = fraction_reduce(h, reducers, order, corner, start, step_limit)
+    corner_code = (localalg._beyond_codes(order) if corner is None
+                   else corner << order._deg_shift)
+    records = [localalg._make_rec(r, order) for r in reducers]
+    work = [start]
+    if expected is None:
+        with pytest.raises(ComputationBudgetExceeded):
+            localalg._reduce(h, records, order, corner_code, work, step_limit)
+    else:
+        assert localalg._reduce(h, records, order, corner_code, work, step_limit) == expected
+    assert work[0] == units
+
+
 # -- standard bases --------------------------------------------------------
 
 
@@ -260,6 +368,38 @@ def test_budget_charges_coefficient_growth(monkeypatch):
     with pytest.raises(ComputationBudgetExceeded):
         standard_basis(grad, LocalOrder(vs, vs), step_limit=1_000_000)
     assert 100 < max(bits) < 1000
+
+
+@pytest.mark.parametrize("ring,jacobian,tjurina", [
+    (("x", "y", "z"), (304_481, 14, 3701), (16_504_621, 30, 8488, 265)),
+    (("y", "z", "x"), (316_699, 14, 3747), (16_612_683, 30, 8483, 265)),
+], ids=["ring-xyz", "ring-yzx"])
+def test_paper_germ_work_and_bases_are_pinned(monkeypatch, ring, jacobian, tjurina):
+    # The paper's germ under the precedence (y,x,z) that wins its
+    # portfolio, in the ring orders of benchmark seeds 0 and 1: work
+    # units of the Jacobian run and of the warm Tjurina extension, and
+    # generators, terms (and coefficient bits) of both bases.  Measured
+    # with the rational (num, den) kernel that the fraction-free one
+    # replaced; a kernel change that moves the meter or a basis shows here.
+    counters = []
+    reduce = localalg._reduce
+
+    def spy(h, records, order, corner_code, work, step_limit):
+        if not counters or counters[-1] is not work:
+            counters.append(work)
+        return reduce(h, records, order, corner_code, work, step_limit)
+
+    monkeypatch.setattr(localalg, "_reduce", spy)
+    f = parse_polynomial("x^14+y^6*z^8+z^14+x^9*z^5+(x+y+z)^15", ring)
+    grad = [f.partial_derivative(v) for v in ring]
+    jac = standard_basis(grad, LocalOrder(ring, ("y", "x", "z")), step_limit=1_000_000)
+    tj = extend_standard_basis(jac, [f])
+    assert [w[0] for w in counters] == [jacobian[0], tjurina[0]]
+    assert (len(jac.generators), sum(len(g.terms) for g in jac.generators)) == jacobian[1:]
+    assert (len(tj.generators), sum(len(g.terms) for g in tj.generators),
+            max(abs(c.numerator).bit_length() for g in tj.generators
+                for c in g.terms.values())) == tjurina[1:]
+    assert quotient_codimension(jac) == 2288 and quotient_codimension(tj) == 1660
 
 
 def test_extend_standard_basis_trivial_cases():
