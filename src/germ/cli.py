@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 computation error or timeout, 2 usage error,
+Exit codes: 0 success, 1 computation error, timeout or exceeded work
+ceiling, 2 usage error,
 3 when an ``--expect`` assertion fails.  Machine output is selected
 with ``--json`` or (for sweeps and invariants) ``--csv``; JSON carries
 a ``generated_at`` timestamp unless ``--reproducible`` is given.
@@ -102,18 +103,23 @@ def _check_expect(expected: dict[str, int], computed: dict[str, int | None]) -> 
 # Subcommands
 
 
-def _timed_out(rows, seconds) -> bool:
-    """Whether a row missed its deadline; if one did, say so on stderr."""
-    if not any(r.note == "timeout" for r in rows):
-        return False
-    print(f"timeout: a germ exceeded the {seconds} s deadline; partial report emitted",
-          file=sys.stderr)
-    return True
+def _undecided(rows, seconds) -> bool:
+    """Whether a row was left undecided; if one was, say why on stderr."""
+    notes = {r.note for r in rows if r.isolated is None}
+    if "timeout" in notes:
+        print(f"timeout: a germ exceeded the {seconds} s deadline; partial report emitted",
+              file=sys.stderr)
+    if "budget exceeded" in notes:
+        print("budget exceeded: a germ exceeded the work ceiling; partial report emitted",
+              file=sys.stderr)
+    return bool(notes)
 
 
 def _mu_tau_text(row: ReportRow, sep: str = " ") -> str:
     if row.note == "timeout":
         return f"timeout after {row.wall_time_s}s"
+    if row.isolated is None:
+        return f"undecided ({row.note})"
     if not row.isolated:
         return f"mu=infinite{sep}tau=infinite"
     return f"mu={row.mu}{sep}tau={row.tau}"
@@ -141,8 +147,8 @@ def _cmd_invariants(args) -> int:
         sys.stdout.write(_rows_csv([row]))
     else:
         print(f"germ: {row.germ}")
-        if row.note == "timeout":
-            print(f"timeout after {args.timeout}s; partial report only")
+        if row.isolated is None:
+            print(f"{_mu_tau_text(row)}; partial report only")
         else:
             print(f"n={row.n}  {_mu_tau_text(row, '  ')}")
             if row.ratio is not None:
@@ -154,7 +160,7 @@ def _cmd_invariants(args) -> int:
             if row.report is not None:
                 print("bounds:")
                 print(_bounds_text(row.report))
-    if _timed_out([row], args.timeout):
+    if _undecided([row], args.timeout):
         return EXIT_COMPUTE
     if args.expect:
         return _check_expect(_parse_expect(args.expect), {"mu": row.mu, "tau": row.tau})
@@ -180,7 +186,7 @@ def _cmd_suspend(args) -> int:
         print(f"suspended germ: {result.suspended}   (new variable {result.new_variable})")
         print(f"base: {_mu_tau_text(base)}")
         print(f"suspension: {_mu_tau_text(top)}")
-    return EXIT_COMPUTE if _timed_out([base, top], args.timeout) else EXIT_OK
+    return EXIT_COMPUTE if _undecided([base, top], args.timeout) else EXIT_OK
 
 
 def _cmd_semigroup(args) -> int:
@@ -349,13 +355,14 @@ def _cmd_sweep(args) -> int:
             print(f"[{r.index:3d}] {r.germ}: {_mu_tau_text(r)} mu/tau={ratio}{note}")
         non_isolated = sum(1 for r in result.rows if r.isolated is False)
         timeouts = sum(1 for r in result.rows if r.note == "timeout")
+        over_budget = sum(1 for r in result.rows if r.note == "budget exceeded")
         print(f"summary: {summary['germs']} germs, {summary['isolated']} isolated, "
-              f"{non_isolated} non-isolated, {timeouts} timed out, "
+              f"{non_isolated} non-isolated, {timeouts} timed out, {over_budget} over budget, "
               f"min ratio {result.min_ratio}, max ratio {result.max_ratio}, "
               f"min 4/3 margin {result.min_43_margin}, "
               f"{len(result.violations)} bound violations")
-    timed_out = _timed_out(result.rows, args.timeout)
-    return EXIT_COMPUTE if (result.violations or timed_out) else EXIT_OK
+    undecided = _undecided(result.rows, args.timeout)
+    return EXIT_COMPUTE if (result.violations or undecided) else EXIT_OK
 
 
 def _cmd_selftest(args) -> int:

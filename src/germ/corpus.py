@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import BOUND_IDS, BoundReport, bound_report
+from .errors import ComputationBudgetExceeded
 from .invariants import WeightVector, germ_invariants, suspend
 from .poly import Polynomial, parse_polynomial
 
@@ -109,7 +110,9 @@ def generate_corpus(spec: SweepSpec) -> list[Polynomial]:
 class ReportRow:
     """One evaluated germ: invariants, verdicts, weights and timing.
 
-    ``isolated`` is None when the row missed its deadline (never decided).
+    ``isolated`` is None when the row was never decided: it missed its
+    deadline (note ``timeout``) or its work ceiling (note ``budget
+    exceeded``).
     """
 
     index: int
@@ -171,13 +174,22 @@ def deadline(seconds: float | None):
 
 
 def evaluate_row(index: int, f: Polynomial, seconds: float | None) -> ReportRow:
-    """``evaluate_germ`` under a deadline; a row past it becomes a ``timeout`` row."""
+    """``evaluate_germ`` under a deadline; an undecided germ gets a partial row.
+
+    A germ past the deadline becomes a ``timeout`` row, one past the
+    portfolio's work ceiling a ``budget exceeded`` row with its measured
+    time.
+    """
+    start = time.perf_counter()
     try:
         with deadline(seconds):
             return evaluate_germ(index, f)
     except TimeoutError:
-        return ReportRow(index, str(f), len(f.vars) - 1, None, None, None,
-                         None, None, seconds, note="timeout")
+        note, elapsed = "timeout", seconds
+    except ComputationBudgetExceeded:
+        note, elapsed = "budget exceeded", time.perf_counter() - start
+    return ReportRow(index, str(f), len(f.vars) - 1, None, None, None,
+                     None, None, elapsed, note=note)
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,19 @@ total degree in the top bits and one 16-bit field per variable, a guard
 bit each.  This makes leading-term lookup an integer ``min`` and
 divisibility a couple of bit operations; exponents above 2**15 - 1
 raise :class:`~germ.errors.MonomialOverflowError` instead of wrapping.
-Basis elements are primitive integer vectors, and an active remainder
-is an integer vector with one exact rational scale (fraction-free
-reduction with lazy content removal), so every verdict is exact.
+Basis elements are integer vectors kept in these packed records from
+the input to the final :class:`StandardBasis`; a warm start reuses them,
+and they become ``Polynomial`` objects only when ``generators`` is first
+read.  An active remainder is an integer vector with one exact rational
+scale (fraction-free reduction with lazy content removal), so every
+verdict is exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappush, heappop
 from math import gcd
 from typing import Sequence
@@ -202,13 +205,23 @@ def _beyond_codes(order: LocalOrder) -> int:
 # Standard bases
 
 
-@dataclass(frozen=True)
 class StandardBasis:
-    """A standard basis together with its minimal leading-term ideal."""
+    """A standard basis together with its minimal leading-term ideal.
 
-    generators: tuple[Polynomial, ...]
-    leading_ideal: tuple[Monomial, ...]
-    order: LocalOrder
+    Built from the packed records of a completion, which stay its only
+    representation: ``leading_ideal`` is read off their leading
+    monomials, and ``generators`` are decoded to polynomials on first
+    access.
+    """
+
+    def __init__(self, records: list[_Rec], order: LocalOrder):
+        self.order = order
+        self._records = records
+        self.leading_ideal: tuple[Monomial, ...] = tuple(_minimalize([r.lm_exps for r in records]))
+
+    @cached_property
+    def generators(self) -> tuple[Polynomial, ...]:
+        return tuple(_decode_poly(r.full_terms(), self.order) for r in self._records)
 
 
 def _minimalize(gens: Sequence[Monomial]) -> list[Monomial]:
@@ -316,6 +329,25 @@ def _corner_degree(lm_exps: list[Monomial], nvars: int) -> int | None:
     return None if stairs is None else stairs[1] + 1
 
 
+def _add_shifted(h: dict, a: int, s: int, terms: dict, corner_code: int, guard: int) -> None:
+    """``h += a * x^s * terms`` in place, dropping codes at or above ``corner_code``."""
+    for k, c in terms.items():
+        kk = k + s
+        if kk >= corner_code:
+            continue
+        if kk & guard:
+            raise MonomialOverflowError("intermediate exponent exceeds the machine bound")
+        v = h.get(kk)
+        if v is None:
+            h[kk] = a * c
+        else:
+            v += a * c
+            if v:
+                h[kk] = v
+            else:
+                del h[kk]
+
+
 def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
             work: list, step_limit: int | None) -> dict:
     """Reduce the integer vector ``h`` by ``records`` to its remainder.
@@ -347,7 +379,7 @@ def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
     guard = order._guard
     shift = order._deg_shift
     mora = corner_code == _beyond_codes(order)
-    own: list[_Rec] = []
+    reducers = list(records)  # this reduction's snapshots are appended
     h = {k: v for k, v in h.items() if k < corner_code}
     sn = sd = 1
     grown = 0  # bits the scale has grown since the last content removal
@@ -355,23 +387,17 @@ def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
         lm_h = min(h)
         best = None
         best_ecart = None
-        for r in records:
+        for r in reducers:
             if ((lm_h | guard) - r.lm) & guard == guard:
                 e = r.ecart
                 if best is None or e < best_ecart:
                     best, best_ecart = r, e
                     if e == 0:
                         break
-        if best_ecart != 0:
-            for r in own:
-                if ((lm_h | guard) - r.lm) & guard == guard:
-                    e = r.ecart
-                    if best is None or e < best_ecart:
-                        best, best_ecart = r, e
         if best is None:
             return _strip(h)
         if mora and best_ecart > (max(h) >> shift) - (lm_h >> shift):
-            own.append(_make_rec(_strip(dict(h)), order))
+            reducers.append(_make_rec(_strip(dict(h)), order))
         # Work is metered in tail-term operations plus a coefficient-size
         # surcharge, so runaway precedences fail their budget early.
         work[0] += len(best.tail) + 1
@@ -392,28 +418,12 @@ def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
         bits = (num // g).bit_length() + (den // g).bit_length()
         work[0] += (bits >> 3) + len(best.tail) * ((bits >> 7) + (bits * bits >> 18))
         g = gcd(a, lc)
-        a = -(a // g)  # the loop below adds a * tail
         m = lc // g
         if m != 1:
             h = {k: c * m for k, c in h.items()}
             sd *= m
             grown += m.bit_length()
-        s = lm_h - best.lm
-        for k, c in best.tail.items():
-            kk = k + s
-            if kk >= corner_code:
-                continue
-            if kk & guard:
-                raise MonomialOverflowError("intermediate exponent exceeds the machine bound")
-            v = h.get(kk)
-            if v is None:
-                h[kk] = a * c
-            else:
-                v += a * c
-                if v:
-                    h[kk] = v
-                else:
-                    del h[kk]
+        _add_shifted(h, -(a // g), lm_h - best.lm, best.tail, corner_code, guard)
         if grown > 64 and h:
             grown = 0
             c = _content(h)
@@ -429,31 +439,15 @@ def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
 
 def _spoly(f: _Rec, g: _Rec, lcm_code: int, order: LocalOrder,
            corner_code: int) -> dict:
-    guard = order._guard
-    gcd_lc = math.gcd(f.lc, g.lc)
-    a = g.lc // gcd_lc
-    b = f.lc // gcd_lc
-    s1 = lcm_code - f.lm
-    s2 = lcm_code - g.lm
-    out = {}
-    for k, c in f.full_terms().items():
-        kk = k + s1
-        if kk >= corner_code:
-            continue
-        if kk & guard:
-            raise MonomialOverflowError("intermediate exponent exceeds the machine bound")
-        out[kk] = a * c
-    for k, c in g.full_terms().items():
-        kk = k + s2
-        if kk >= corner_code:
-            continue
-        if kk & guard:
-            raise MonomialOverflowError("intermediate exponent exceeds the machine bound")
-        v = out.get(kk, 0) - b * c
-        if v:
-            out[kk] = v
-        else:
-            out.pop(kk, None)
+    """S-polynomial of ``f`` and ``g`` at ``lcm_code``, with the integer
+    multipliers ``g.lc/d`` and ``f.lc/d`` for ``d = gcd(f.lc, g.lc)``.
+
+    The leading terms cancel exactly, so only the tails are added.
+    """
+    d = gcd(f.lc, g.lc)
+    out: dict = {}
+    _add_shifted(out, g.lc // d, lcm_code - f.lm, f.tail, corner_code, order._guard)
+    _add_shifted(out, -(f.lc // d), lcm_code - g.lm, g.tail, corner_code, order._guard)
     return out
 
 
@@ -548,30 +542,19 @@ def _prepare_records(gens: Sequence[Polynomial], order: LocalOrder) -> list[_Rec
     return records
 
 
-def _finish(records: list[_Rec], order: LocalOrder) -> StandardBasis:
-    lead = _minimalize([r.lm_exps for r in records])
-    gens = tuple(_decode_poly(r.full_terms(), order) for r in records)
-    return StandardBasis(gens, tuple(lead), order)
-
-
 def standard_basis(gens: Sequence[Polynomial], order: LocalOrder | None = None, *,
-                   monomial_fast_path: bool = True,
                    step_limit: int | None = None) -> StandardBasis:
     """Standard basis of the ideal generated by ``gens`` in the local ring.
 
-    Monomial input is already a standard basis and is returned directly
-    unless ``monomial_fast_path`` is disabled (the general algorithm
-    must agree and the tests hold it to that).
+    Monomial input comes back as it went in, made primitive: every
+    s-polynomial of two monomials is zero.
     """
     gens = [p for p in gens if p]
     if not gens:
         raise ValueError("need at least one nonzero generator")
     if order is None:
         order = LocalOrder(gens[0].vars)
-    records = _prepare_records(gens, order)
-    if monomial_fast_path and all(not r.tail for r in records):
-        return _finish(records, order)
-    return _finish(_complete(records, 0, order, step_limit), order)
+    return StandardBasis(_complete(_prepare_records(gens, order), 0, order, step_limit), order)
 
 
 def extend_standard_basis(basis: StandardBasis, extra: Sequence[Polynomial], *,
@@ -579,16 +562,21 @@ def extend_standard_basis(basis: StandardBasis, extra: Sequence[Polynomial], *,
     """Complete ``basis`` to a standard basis of the enlarged ideal.
 
     Pairs among the existing generators are not reconsidered, which
-    makes this a cheap warm start when one generator is appended.
+    makes this a cheap warm start when one generator is appended.  The
+    completion starts from the records of ``basis``; a record that a
+    corner truncation left with content is divided by it first, so
+    every record starts primitive with a positive leading coefficient.
     """
     order = basis.order
-    records = _prepare_records(basis.generators, order)
-    start = len(records)
     new = _prepare_records(extra, order)
     if not new:
         return basis
+    records = [r if _content(r.full_terms()) == 1
+               else _make_rec(_strip(r.full_terms()), order, with_pair_data=True)
+               for r in basis._records]
+    start = len(records)
     records.extend(new)
-    return _finish(_complete(records, start, order, step_limit), order)
+    return StandardBasis(_complete(records, start, order, step_limit), order)
 
 
 def mora_normal_form(p: Polynomial, G: Sequence[Polynomial], order: LocalOrder | None = None) -> Polynomial:

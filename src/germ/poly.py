@@ -119,20 +119,11 @@ class Polynomial:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.vars), _ZERO)
 
-    def total_degree(self) -> int:
-        """Maximal total degree of a term; undefined for the zero polynomial."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no degree")
-        return max(sum(e) for e in self.terms)
-
     def min_degree(self) -> int:
         """Order of vanishing at the origin; undefined for the zero polynomial."""
         if not self.terms:
             raise ValueError("the zero polynomial has no order")
         return min(sum(e) for e in self.terms)
-
-    def support(self) -> list[Monomial]:
-        return sorted(self.terms, key=_print_key)
 
     # -- ring arithmetic ----------------------------------------------
 

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import germ.corpus
+import germ.invariants
 from germ import parse_polynomial
 from germ.cli import main
 
@@ -272,6 +273,29 @@ def test_suspend_timeout_prints_partial_report(capsys):
     assert "timeout" in err
     data = json.loads(out)
     assert data["base_mu"] is None and data["mu"] is None
+
+
+NON_ISOLATED_CURVE = "(x*y+2*x*y^2-4*y^4+4*x^4*y^3)*(y+x^3*y^2)"
+
+
+def test_germ_past_the_work_ceiling_is_undecided(capsys, monkeypatch):
+    # This non-isolated curve germ fails every portfolio round up to the
+    # ceiling under both precedences, so it is reported undecided (null
+    # mu, tau and isolated, exit 1) instead of running on forever.
+    code, out, err = run(capsys, "invariants", "--vars", "x,y", "--poly",
+                         NON_ISOLATED_CURVE, "--json", "--reproducible")
+    assert code == 1
+    assert "budget exceeded" in err and "Traceback" not in err
+    data = json.loads(out)
+    assert (data["mu"], data["tau"], data["isolated"]) == (None, None, None)
+    assert data["timeout"] is False
+    # Text output never calls it infinite; the first round's ceiling
+    # reaches the same verdict in a fraction of the time.
+    monkeypatch.setattr(germ.invariants, "_BUDGET_CEILING", germ.invariants._BUDGET_START)
+    code, out, err = run(capsys, "invariants", "--vars", "x,y", "--poly", NON_ISOLATED_CURVE)
+    assert code == 1
+    assert "budget exceeded" in out and "budget exceeded" in err
+    assert "infinite" not in out and "weighted homogeneous" not in out
 
 
 def test_suspend_non_isolated_text(capsys):

@@ -13,7 +13,7 @@ from germ import (EQUAL, GREATER, INFINITE, LESS, LocalOrder, MonomialOverflowEr
                   parse_polynomial, quotient_codimension, standard_basis, wahl_tau_min)
 from germ import localalg
 from germ.errors import ComputationBudgetExceeded
-from germ.localalg import StandardBasis, _corner_degree, _minimalize
+from germ.localalg import _corner_degree, _minimalize
 
 V2 = ("x", "y")
 
@@ -277,15 +277,24 @@ def test_standard_basis_rejects_empty():
         standard_basis([Polynomial.zero(V2)])
 
 
-def test_monomial_fast_path_agrees_with_general_path():
+def test_monomial_input_is_its_own_standard_basis():
+    # Every s-polynomial of two monomials is zero, so the completion
+    # keeps the input: its generators are the input monomials made
+    # primitive, the leading ideal is the minimalized input, and the
+    # codimension is the brute-force staircase count.
     rng = random.Random(11)
     for _ in range(25):
-        gens = [Polynomial.monomial(V2, (rng.randint(0, 5), rng.randint(0, 5)), rng.randint(1, 9))
-                for _ in range(rng.randint(1, 5))]
-        fast = standard_basis(gens)
-        slow = standard_basis(gens, monomial_fast_path=False)
-        assert fast.leading_ideal == slow.leading_ideal
-        assert quotient_codimension(fast) == quotient_codimension(slow)
+        exps = [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(1, 5))]
+        sb = standard_basis([Polynomial.monomial(V2, e, rng.randint(1, 9)) for e in exps])
+        assert sorted(map(str, sb.generators)) == sorted(
+            str(Polynomial.monomial(V2, e)) for e in exps)
+        mins = _minimalize(exps)
+        assert sb.leading_ideal == tuple(mins)
+        if len({i for m in mins for i in (0, 1) if m[1 - i] == 0}) == 2:  # pure powers
+            box = [max(m[i] for m in mins) + 1 for i in range(2)]
+            assert quotient_codimension(sb) == len(brute_staircase(mins, 2, box))
+        else:
+            assert quotient_codimension(sb) == INFINITE
 
 
 def test_extend_standard_basis_matches_fresh_run():
@@ -402,6 +411,33 @@ def test_paper_germ_work_and_bases_are_pinned(monkeypatch, ring, jacobian, tjuri
     assert quotient_codimension(jac) == 2288 and quotient_codimension(tj) == 1660
 
 
+def test_warm_start_records_are_primitive(monkeypatch):
+    # Under the ring's own precedence the Jacobian run of this germ
+    # truncates its last record at the corner and leaves it with content
+    # (147*y^7); the warm Tjurina run starts from that record divided by
+    # its content.  Work units and generators measured with the
+    # decode-and-re-encode warm start that the record reuse replaced.
+    counters = []
+    reduce = localalg._reduce
+
+    def spy(h, records, order, corner_code, work, step_limit):
+        if not counters or counters[-1] is not work:
+            counters.append(work)
+        return reduce(h, records, order, corner_code, work, step_limit)
+
+    f = P("x^3+y^7+2*x^2*y^3")
+    grad = [f.partial_derivative(v) for v in V2]
+    jac = standard_basis(grad)
+    assert [str(g) for g in jac.generators] == [
+        "3*x^2+4*x*y^3", "6*x^2*y^2+7*y^6", "8*x*y^5-7*y^6", "147*y^7"]
+    monkeypatch.setattr(localalg, "_reduce", spy)
+    tj = extend_standard_basis(jac, [f])
+    assert [w[0] for w in counters] == [2]
+    assert [str(g) for g in tj.generators] == [
+        "3*x^2+4*x*y^3", "6*x^2*y^2+7*y^6", "8*x*y^5-7*y^6", "y^7", "x^3+2*x^2*y^3"]
+    assert quotient_codimension(jac) == quotient_codimension(tj) == 12
+
+
 def test_extend_standard_basis_trivial_cases():
     basis = standard_basis([P("x^2+y^3"), P("x*y")])
     assert extend_standard_basis(basis, []) is basis
@@ -422,13 +458,9 @@ def test_unit_in_ideal_gives_codimension_zero():
 
 
 def test_codimension_examples():
-    order = LocalOrder(V2)
-    assert quotient_codimension(
-        StandardBasis((P("x^2"), P("y^3")), ((2, 0), (0, 3)), order)) == 6
-    assert quotient_codimension(
-        StandardBasis((P("x^2"), P("x*y"), P("y^3")), ((2, 0), (1, 1), (0, 3)), order)) == 4
-    assert quotient_codimension(
-        StandardBasis((P("x"),), ((1, 0),), order)) == INFINITE
+    assert quotient_codimension(standard_basis([P("x^2"), P("y^3")])) == 6
+    assert quotient_codimension(standard_basis([P("x^2"), P("x*y"), P("y^3")])) == 4
+    assert quotient_codimension(standard_basis([P("x")])) == INFINITE
 
 
 @pytest.mark.parametrize("nvars", [2, 3])
@@ -445,8 +477,7 @@ def test_staircase_count_matches_brute_enumeration(nvars):
         mins = _minimalize(list(gens))
         box = [max(g[i] for g in mins) + 1 for i in range(nvars)]
         stairs = brute_staircase(mins, nvars, box)
-        basis = StandardBasis(tuple(Polynomial.monomial(vars, m) for m in mins),
-                              tuple(mins), order)
+        basis = standard_basis([Polynomial.monomial(vars, m) for m in mins], order)
         assert quotient_codimension(basis) == len(stairs)
         # the highest corner: one above the largest staircase degree
         assert _corner_degree(mins, nvars) == max((sum(m) for m in stairs), default=-1) + 1
