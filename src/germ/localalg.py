@@ -252,30 +252,33 @@ def _coprime_skip(f: _Rec, g: _Rec) -> bool:
     return f.lc2 * g.lc != g.lc2 * f.lc
 
 
-def _staircase(gens: frozenset, nvars: int, memo: dict) -> tuple[int, int]:
-    """Size and largest degree of the staircase of a cofinite monomial ideal.
+def _staircase(gens: frozenset, nvars: int, memo: dict) -> tuple[int, int, tuple]:
+    """Size, largest degree and top layer of the staircase of a cofinite monomial ideal.
 
     ``gens`` must be minimal.  Recursive splitting: picking a variable
     ``x`` present in a mixed generator, the staircase partitions into
     the part annihilated by ``x`` (ideal plus ``x``) and ``x`` times the
     staircase of the colon ideal.  Base case: pure-power generators span
-    a box.  The largest degree is -1 when the staircase is empty.
+    a box.  The top layer lists the staircase monomials of largest
+    degree: the box's corner, or the layer of the higher part (both
+    parts on a tie; they are disjoint, since only the second has ``x``).
+    The largest degree is -1 and the layer empty when the staircase is
+    empty.
     """
     cached = memo.get(gens)
     if cached is not None:
         return cached
     if any(not any(m) for m in gens):
-        return (0, -1)  # 1 lies in the ideal
+        return (0, -1, ())  # 1 lies in the ideal
     mixed = [m for m in gens if sum(1 for e in m if e) > 1]
     if not mixed:
         # minimal + cofinite forces exactly one pure power per variable
         assert len(gens) == nvars
-        count = 1
-        top = 0
+        corner = [0] * nvars
         for m in gens:
-            count *= max(m)
-            top += max(m) - 1
-        result = (count, top)
+            e = max(m)
+            corner[m.index(e)] = e - 1
+        result = (math.prod(e + 1 for e in corner), sum(corner), (tuple(corner),))
     else:
         counts = [0] * nvars
         for m in mixed:
@@ -288,9 +291,14 @@ def _staircase(gens: frozenset, nvars: int, memo: dict) -> tuple[int, int]:
         without = frozenset([m for m in gens if m[pivot] == 0] + [unit])
         colon = frozenset(_minimalize(
             [m[:pivot] + (max(m[pivot] - 1, 0),) + m[pivot + 1:] for m in gens]))
-        count_a, top_a = _staircase(without, nvars, memo)
-        count_b, top_b = _staircase(colon, nvars, memo)
-        result = (count_a + count_b, max(top_a, top_b + 1 if top_b >= 0 else -1))
+        count_a, top_a, layer_a = _staircase(without, nvars, memo)
+        count_b, top_b, layer_b = _staircase(colon, nvars, memo)
+        top_b = top_b + 1 if top_b >= 0 else -1
+        top = max(top_a, top_b)
+        layer = layer_a if top_a == top else ()
+        if top_b == top:
+            layer += tuple(m[:pivot] + (m[pivot] + 1,) + m[pivot + 1:] for m in layer_b)
+        result = (count_a + count_b, top, layer)
     memo[gens] = result
     return result
 
@@ -305,28 +313,18 @@ def _has_pure_powers(gens: Sequence[Monomial], nvars: int) -> bool:
     return len(seen) == nvars
 
 
-def _staircase_of(lm_exps: Sequence[Monomial], nvars: int) -> tuple[int, int] | None:
-    """``(size, largest degree)`` of the staircase of a leading ideal.
+def _staircase_of(lm_exps: Sequence[Monomial], nvars: int) -> tuple[int, int, tuple] | None:
+    """``(size, largest degree, top layer)`` of the staircase of a leading ideal.
 
     None while some variable still lacks a pure power (the staircase is
-    infinite); ``(0, -1)`` when the ideal contains 1.
+    infinite); ``(0, -1, ())`` when the ideal contains 1.
     """
     mins = _minimalize(lm_exps)
     if any(not any(m) for m in mins):
-        return (0, -1)
+        return (0, -1, ())
     if not _has_pure_powers(mins, nvars):
         return None
     return _staircase(frozenset(mins), nvars, {})
-
-
-def _corner_degree(lm_exps: list[Monomial], nvars: int) -> int | None:
-    """Least degree k with every monomial of degree >= k in the ideal.
-
-    None while the staircase is infinite (no truncation degree is
-    certified).
-    """
-    stairs = _staircase_of(lm_exps, nvars)
-    return None if stairs is None else stairs[1] + 1
 
 
 def _add_shifted(h: dict, a: int, s: int, terms: dict, corner_code: int, guard: int) -> None:
@@ -467,24 +465,41 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
     snapshots are taken only until that corner is certified: below it
     the monomials are finitely many, so plain reduction terminates.  A
     warm start from a basis with a corner never takes one.
+
+    The corner degree ``c`` drops only when every monomial of degree
+    ``c-1`` lies in the leading ideal.  So the completion keeps the
+    staircase's top layer, the degree ``c-1`` monomials still outside
+    the ideal, and removes the multiples of each new leading monomial
+    from it; the staircase recursion runs only at the first
+    certification and when the layer empties.  Records are truncated at
+    each new corner and made primitive again.
     """
     shift = order._deg_shift
+    guard = order._guard
     heap: list = []  # (lcm degree, seq, i, j, lcm_exps, lcm_code)
     pending: set[tuple[int, int]] = set()
     seq = 0
     corner_code = _beyond_codes(order)  # codes at or above it are truncated
+    outside: list[int] = []  # codes of degree corner-1 not in the leading ideal
     work = [0]
 
     def refresh_corner() -> None:
-        nonlocal corner_code
-        new = _corner_degree([r.lm_exps for r in records], order.nvars)
-        if new is None or new << shift >= corner_code:
+        nonlocal corner_code, outside
+        if outside:
+            lm = records[-1].lm
+            outside = [k for k in outside if ((k | guard) - lm) & guard != guard]
+            if outside:
+                return
+        stairs = _staircase_of([r.lm_exps for r in records], order.nvars)
+        if stairs is None:
             return
-        corner_code = new << shift
+        _, top, layer = stairs
+        outside = [order.encode(m) for m in layer]
+        corner_code = (top + 1) << shift
         for t, r in enumerate(records):
             if any(k >= corner_code for k in r.tail):
                 kept = {k: c for k, c in r.tail.items() if k < corner_code}
-                records[t] = _make_rec({r.lm: r.lc, **kept}, order, with_pair_data=True)
+                records[t] = _make_rec(_strip({r.lm: r.lc, **kept}), order, with_pair_data=True)
 
     def push_pairs(t: int) -> None:
         nonlocal seq
@@ -563,17 +578,14 @@ def extend_standard_basis(basis: StandardBasis, extra: Sequence[Polynomial], *,
 
     Pairs among the existing generators are not reconsidered, which
     makes this a cheap warm start when one generator is appended.  The
-    completion starts from the records of ``basis``; a record that a
-    corner truncation left with content is divided by it first, so
-    every record starts primitive with a positive leading coefficient.
+    completion starts from the records of ``basis``, each primitive
+    with a positive leading coefficient.
     """
     order = basis.order
     new = _prepare_records(extra, order)
     if not new:
         return basis
-    records = [r if _content(r.full_terms()) == 1
-               else _make_rec(_strip(r.full_terms()), order, with_pair_data=True)
-               for r in basis._records]
+    records = list(basis._records)
     start = len(records)
     records.extend(new)
     return StandardBasis(_complete(records, start, order, step_limit), order)

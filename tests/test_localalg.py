@@ -13,7 +13,7 @@ from germ import (EQUAL, GREATER, INFINITE, LESS, LocalOrder, MonomialOverflowEr
                   parse_polynomial, quotient_codimension, standard_basis, wahl_tau_min)
 from germ import localalg
 from germ.errors import ComputationBudgetExceeded
-from germ.localalg import _corner_degree, _minimalize
+from germ.localalg import _minimalize, _staircase_of
 
 V2 = ("x", "y")
 
@@ -413,10 +413,11 @@ def test_paper_germ_work_and_bases_are_pinned(monkeypatch, ring, jacobian, tjuri
 
 def test_warm_start_records_are_primitive(monkeypatch):
     # Under the ring's own precedence the Jacobian run of this germ
-    # truncates its last record at the corner and leaves it with content
-    # (147*y^7); the warm Tjurina run starts from that record divided by
-    # its content.  Work units and generators measured with the
-    # decode-and-re-encode warm start that the record reuse replaced.
+    # truncates its last record at the corner, which leaves it with
+    # content (147*y^7); the truncated record is divided by it, so the
+    # Jacobian basis and the warm Tjurina run both hold y^7.  Work units
+    # and Tjurina generators measured with the decode-and-re-encode warm
+    # start that the record reuse replaced.
     counters = []
     reduce = localalg._reduce
 
@@ -429,13 +430,65 @@ def test_warm_start_records_are_primitive(monkeypatch):
     grad = [f.partial_derivative(v) for v in V2]
     jac = standard_basis(grad)
     assert [str(g) for g in jac.generators] == [
-        "3*x^2+4*x*y^3", "6*x^2*y^2+7*y^6", "8*x*y^5-7*y^6", "147*y^7"]
+        "3*x^2+4*x*y^3", "6*x^2*y^2+7*y^6", "8*x*y^5-7*y^6", "y^7"]
     monkeypatch.setattr(localalg, "_reduce", spy)
     tj = extend_standard_basis(jac, [f])
     assert [w[0] for w in counters] == [2]
     assert [str(g) for g in tj.generators] == [
         "3*x^2+4*x*y^3", "6*x^2*y^2+7*y^6", "8*x*y^5-7*y^6", "y^7", "x^3+2*x^2*y^3"]
     assert quotient_codimension(jac) == quotient_codimension(tj) == 12
+
+
+def test_incremental_corner_is_the_exact_corner(monkeypatch):
+    # The completion filters the staircase's top layer per new leading
+    # monomial instead of recomputing the staircase; every corner it
+    # hands to the kernel must still be the one recomputed from all
+    # leading monomials, before and after certification, in Jacobian
+    # runs and warm Tjurina runs.
+    checked = []
+    reduce = localalg._reduce
+
+    def spy(h, records, order, corner_code, work, step_limit):
+        stairs = _staircase_of([r.lm_exps for r in records], order.nvars)
+        exact = (localalg._beyond_codes(order) if stairs is None
+                 else (stairs[1] + 1) << order._deg_shift)
+        assert corner_code == exact
+        checked.append(corner_code)
+        return reduce(h, records, order, corner_code, work, step_limit)
+
+    monkeypatch.setattr(localalg, "_reduce", spy)
+    vs = ("x", "y", "z")
+    germs = [f"x^{d}+y^{d}+z^{d}+(x+y+z)^{d + 1}" for d in range(3, 8)]
+    germs += [f"x^{p}+y^{q}+z^{r}+x*y*z"
+              for p, q, r in [(2, 3, 7), (3, 3, 4), (2, 4, 5), (3, 4, 5)]]
+    for text in germs:
+        f = parse_polynomial(text, vs)
+        grad = [f.partial_derivative(v) for v in vs]
+        for prec in itertools.permutations(vs):
+            extend_standard_basis(standard_basis(grad, LocalOrder(vs, prec)), [f])
+    f = P("x^3+y^7+2*x^2*y^3")
+    extend_standard_basis(standard_basis([f.partial_derivative(v) for v in V2]), [f])
+    assert len(set(checked)) > 1  # pre-corner calls and several corners were seen
+
+
+def test_warm_ladder_recurses_only_when_the_top_layer_empties(monkeypatch):
+    # Regression guard for the incremental corner: the warm Tjurina run
+    # of the ladder at d=10 runs the staircase recursion 8 times; run
+    # after every new basis element, it would run 20 times.
+    calls = []
+    staircase_of = localalg._staircase_of
+
+    def spy(lm_exps, nvars):
+        calls.append(nvars)
+        return staircase_of(lm_exps, nvars)
+
+    vs = ("x", "y", "z")
+    f = parse_polynomial("x^10+y^10+z^10+(x+y+z)^11", vs)
+    jac = standard_basis([f.partial_derivative(v) for v in vs], LocalOrder(vs))
+    monkeypatch.setattr(localalg, "_staircase_of", spy)
+    tj = extend_standard_basis(jac, [f])
+    assert len(calls) == 8
+    assert quotient_codimension(tj) == wahl_tau_min(10)
 
 
 def test_extend_standard_basis_trivial_cases():
@@ -479,8 +532,12 @@ def test_staircase_count_matches_brute_enumeration(nvars):
         stairs = brute_staircase(mins, nvars, box)
         basis = standard_basis([Polynomial.monomial(vars, m) for m in mins], order)
         assert quotient_codimension(basis) == len(stairs)
-        # the highest corner: one above the largest staircase degree
-        assert _corner_degree(mins, nvars) == max((sum(m) for m in stairs), default=-1) + 1
+        # the highest corner: one above the largest staircase degree, and
+        # the top layer: the staircase monomials of that largest degree
+        size, top, layer = _staircase_of(mins, nvars)
+        assert size == len(stairs)
+        assert top + 1 == max((sum(m) for m in stairs), default=-1) + 1
+        assert sorted(layer) == sorted(m for m in stairs if sum(m) == top)
 
 
 @pytest.mark.parametrize("nvars", [29, 30])
