@@ -56,16 +56,21 @@ class SweepSpec:
             raise ValueError("suspension power must be at least 2")
 
 
-def _deformations(a: int, b: int, rng: random.Random, max_terms: int = 3,
-                  coeff_bound: int = 3) -> Polynomial:
+#: A deformation adds between 1 and ``_DEFORMATION_TERMS`` terms, each
+#: with a coefficient drawn from ``_DEFORMATION_COEFFS``.
+_DEFORMATION_TERMS = 3
+_DEFORMATION_COEFFS = (-3, -2, -1, 1, 2, 3)
+
+
+def _deformations(a: int, b: int, rng: random.Random) -> Polynomial:
     """x^a + y^b plus seeded terms of strictly higher weighted degree."""
     vars = ("x", "y")
     terms = {(a, 0): Fraction(1), (0, b): Fraction(1)}
     candidates = [(i, j) for i in range(a + 3) for j in range(b + 3)
                   if i * b + j * a > a * b and (i, j) not in terms]
-    picks = rng.sample(candidates, min(rng.randint(1, max_terms), len(candidates)))
+    picks = rng.sample(candidates, min(rng.randint(1, _DEFORMATION_TERMS), len(candidates)))
     for i, j in picks:
-        c = rng.choice([k for k in range(-coeff_bound, coeff_bound + 1) if k])
+        c = rng.choice(_DEFORMATION_COEFFS)
         terms[(i, j)] = terms.get((i, j), Fraction(0)) + c
     return Polynomial(vars, terms)
 

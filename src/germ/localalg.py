@@ -206,18 +206,21 @@ def _beyond_codes(order: LocalOrder) -> int:
 
 
 class StandardBasis:
-    """A standard basis together with its minimal leading-term ideal.
+    """A standard basis, kept as the packed records of its completion.
 
-    Built from the packed records of a completion, which stay its only
-    representation: ``leading_ideal`` is read off their leading
-    monomials, and ``generators`` are decoded to polynomials on first
-    access.
+    The records stay its only representation: ``leading_ideal`` (the
+    minimal generators of the leading-term ideal) is read off their
+    leading monomials and ``generators`` are decoded to polynomials,
+    each on first access.
     """
 
     def __init__(self, records: list[_Rec], order: LocalOrder):
         self.order = order
         self._records = records
-        self.leading_ideal: tuple[Monomial, ...] = tuple(_minimalize([r.lm_exps for r in records]))
+
+    @cached_property
+    def leading_ideal(self) -> tuple[Monomial, ...]:
+        return tuple(_minimalize([r.lm_exps for r in self._records]))
 
     @cached_property
     def generators(self) -> tuple[Polynomial, ...]:
@@ -252,18 +255,20 @@ def _coprime_skip(f: _Rec, g: _Rec) -> bool:
     return f.lc2 * g.lc != g.lc2 * f.lc
 
 
-def _staircase(gens: frozenset, nvars: int, memo: dict) -> tuple[int, int, tuple]:
-    """Size, largest degree and top layer of the staircase of a cofinite monomial ideal.
+def _staircase(gens: frozenset, nvars: int, memo: dict) -> tuple[int, int, tuple] | None:
+    """Size, largest degree and top layer of the staircase of a monomial ideal.
 
-    ``gens`` must be minimal.  Recursive splitting: picking a variable
-    ``x`` present in a mixed generator, the staircase partitions into
-    the part annihilated by ``x`` (ideal plus ``x``) and ``x`` times the
-    staircase of the colon ideal.  Base case: pure-power generators span
-    a box.  The top layer lists the staircase monomials of largest
-    degree: the box's corner, or the layer of the higher part (both
-    parts on a tie; they are disjoint, since only the second has ``x``).
-    The largest degree is -1 and the layer empty when the staircase is
-    empty.
+    ``gens`` is any generating set; None when the staircase is infinite.
+    Recursive splitting: picking a variable ``x`` present in a mixed
+    generator, the staircase partitions into the part annihilated by
+    ``x`` (ideal plus ``x``) and ``x`` times the staircase of the colon
+    ideal, so it is infinite exactly when one part is.  Base case: the
+    smallest pure power of each variable spans a box, and a variable
+    without one leaves the staircase infinite.  The top layer lists the
+    staircase monomials of largest degree: the box's corner, or the
+    layer of the higher part (both parts on a tie; they are disjoint,
+    since only the second has ``x``).  The largest degree is -1 and the
+    layer empty when the staircase is empty.
     """
     cached = memo.get(gens)
     if cached is not None:
@@ -272,13 +277,15 @@ def _staircase(gens: frozenset, nvars: int, memo: dict) -> tuple[int, int, tuple
         return (0, -1, ())  # 1 lies in the ideal
     mixed = [m for m in gens if sum(1 for e in m if e) > 1]
     if not mixed:
-        # minimal + cofinite forces exactly one pure power per variable
-        assert len(gens) == nvars
-        corner = [0] * nvars
+        powers: dict[int, int] = {}
         for m in gens:
             e = max(m)
-            corner[m.index(e)] = e - 1
-        result = (math.prod(e + 1 for e in corner), sum(corner), (tuple(corner),))
+            i = m.index(e)
+            powers[i] = min(e, powers.get(i, e))
+        if len(powers) < nvars:
+            return None
+        corner = tuple(powers[i] - 1 for i in range(nvars))
+        result = (math.prod(powers.values()), sum(corner), (corner,))
     else:
         counts = [0] * nvars
         for m in mixed:
@@ -287,12 +294,16 @@ def _staircase(gens: frozenset, nvars: int, memo: dict) -> tuple[int, int, tuple
                     counts[i] += 1
         pivot = counts.index(max(counts))
         unit = tuple(1 if i == pivot else 0 for i in range(nvars))
-        # Already minimal: minimal generators free of x, plus x itself.
         without = frozenset([m for m in gens if m[pivot] == 0] + [unit])
-        colon = frozenset(_minimalize(
-            [m[:pivot] + (max(m[pivot] - 1, 0),) + m[pivot + 1:] for m in gens]))
-        count_a, top_a, layer_a = _staircase(without, nvars, memo)
-        count_b, top_b, layer_b = _staircase(colon, nvars, memo)
+        part_a = _staircase(without, nvars, memo)
+        if part_a is None:
+            return None
+        colon = frozenset(m[:pivot] + (max(m[pivot] - 1, 0),) + m[pivot + 1:] for m in gens)
+        part_b = _staircase(colon, nvars, memo)
+        if part_b is None:
+            return None
+        count_a, top_a, layer_a = part_a
+        count_b, top_b, layer_b = part_b
         top_b = top_b + 1 if top_b >= 0 else -1
         top = max(top_a, top_b)
         layer = layer_a if top_a == top else ()
@@ -303,28 +314,15 @@ def _staircase(gens: frozenset, nvars: int, memo: dict) -> tuple[int, int, tuple
     return result
 
 
-def _has_pure_powers(gens: Sequence[Monomial], nvars: int) -> bool:
-    """True iff every variable has a pure power among ``gens``."""
-    seen = set()
-    for m in gens:
-        nz = [i for i, e in enumerate(m) if e]
-        if len(nz) == 1:
-            seen.add(nz[0])
-    return len(seen) == nvars
-
-
 def _staircase_of(lm_exps: Sequence[Monomial], nvars: int) -> tuple[int, int, tuple] | None:
     """``(size, largest degree, top layer)`` of the staircase of a leading ideal.
 
-    None while some variable still lacks a pure power (the staircase is
-    infinite); ``(0, -1, ())`` when the ideal contains 1.
+    The leading monomials are minimalized once here and the recursion
+    takes it from there: None while some variable still lacks a pure
+    power (the staircase is infinite), ``(0, -1, ())`` when the ideal
+    contains 1.
     """
-    mins = _minimalize(lm_exps)
-    if any(not any(m) for m in mins):
-        return (0, -1, ())
-    if not _has_pure_powers(mins, nvars):
-        return None
-    return _staircase(frozenset(mins), nvars, {})
+    return _staircase(frozenset(_minimalize(lm_exps)), nvars, {})
 
 
 def _add_shifted(h: dict, a: int, s: int, terms: dict, corner_code: int, guard: int) -> None:
@@ -605,12 +603,9 @@ def mora_normal_form(p: Polynomial, G: Sequence[Polynomial], order: LocalOrder |
         order = LocalOrder(p.vars)
     reducers = _prepare_records(G, order)
     h = _encode_poly(p, order)
-    if not h or not reducers:
+    if not h:
         return p
-    rem = _reduce(h, reducers, order, _beyond_codes(order), [0], None)
-    if rem == h:
-        return p
-    return _decode_poly(rem, order)
+    return _decode_poly(_reduce(h, reducers, order, _beyond_codes(order), [0], None), order)
 
 
 # ----------------------------------------------------------------------
@@ -623,5 +618,5 @@ def quotient_codimension(basis: StandardBasis) -> int | float:
     Finite exactly when every variable has a pure power in the leading
     ideal; returns :data:`INFINITE` otherwise.
     """
-    stairs = _staircase_of(basis.leading_ideal, basis.order.nvars)
+    stairs = _staircase_of([r.lm_exps for r in basis._records], basis.order.nvars)
     return INFINITE if stairs is None else stairs[0]

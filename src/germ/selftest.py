@@ -30,6 +30,9 @@ BENCHMARK_GERM_TEXT = "x^14+y^6*z^8+z^14+x^9*z^5+(x+y+z)^15"
 BENCHMARK_GERM_MU = 2288
 BENCHMARK_GERM_TAU = 1660
 
+#: Number of corpus germs whose suspension criterion 3 checks.
+SUSPENSION_SAMPLE = 50
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -82,11 +85,10 @@ def criterion_2(corpus: list[Polynomial], invariants: list[GermInvariants]) -> C
     return _run(2, "plane-curve 4/3 bound on corpus", body)
 
 
-def criterion_3(corpus: list[Polynomial], invariants: list[GermInvariants],
-                count: int = 50) -> CriterionResult:
+def criterion_3(corpus: list[Polynomial], invariants: list[GermInvariants]) -> CriterionResult:
     def body() -> str:
-        sample = corpus[:count]
-        assert len(sample) >= 50, "need at least 50 germs"
+        sample = corpus[:SUSPENSION_SAMPLE]
+        assert len(sample) >= SUSPENSION_SAMPLE, f"need at least {SUSPENSION_SAMPLE} germs"
         for f, base in zip(sample, invariants):
             top = germ_invariants(suspend(f, 2).suspended)
             assert top.mu == base.mu, f"mu changed under suspension for {f}"

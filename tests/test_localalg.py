@@ -95,6 +95,11 @@ def test_nf_examples():
     x, y = P("x"), P("y")
     assert mora_normal_form(P("x^2"), [x]) == 0
     assert mora_normal_form(x, [y]) == x
+    # irreducible input still comes back primitive, leading coefficient positive
+    assert mora_normal_form(P("-2*x"), [y]) == x
+    assert mora_normal_form(P("4/3*x"), [y]) == x
+    assert mora_normal_form(P("-2*x+y^2"), [y]) == P("2*x-y^2")
+    assert mora_normal_form(P("-2*x"), []) == x
 
 
 def test_nf_local_unit_example():
@@ -521,7 +526,7 @@ def test_staircase_count_matches_brute_enumeration(nvars):
     rng = random.Random(5 + nvars)
     vars = ("x", "y", "z")[:nvars]
     order = LocalOrder(vars)
-    for _ in range(40):
+    for draw in range(40):
         gens = {tuple(rng.randint(0, 6) for _ in range(nvars))
                 for _ in range(rng.randint(1, 6))}
         # force pure powers so the count is finite
@@ -538,6 +543,16 @@ def test_staircase_count_matches_brute_enumeration(nvars):
         assert size == len(stairs)
         assert top + 1 == max((sum(m) for m in stairs), default=-1) + 1
         assert sorted(layer) == sorted(m for m in stairs if sum(m) == top)
+        # the recursion itself takes redundant generators as they come
+        size, top, layer = localalg._staircase(frozenset(gens), nvars, {})
+        assert size == len(stairs)
+        assert top == max((sum(m) for m in stairs), default=-1)
+        assert sorted(layer) == sorted(m for m in stairs if sum(m) == top)
+        # without a pure power of one variable the staircase is infinite
+        i = draw % nvars
+        open_gens = [m for m in gens if any(e for j, e in enumerate(m) if j != i)]
+        assert _staircase_of(open_gens, nvars) is None
+        assert localalg._staircase(frozenset(open_gens), nvars, {}) is None
 
 
 @pytest.mark.parametrize("nvars", [29, 30])
