@@ -17,12 +17,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from . import selftest as selftest_mod
 from .bounds import BOUND_IDS, BoundReport, SuperisolatedData, bound_report, \
     kerner_nemethi_constant, superisolated_invariants, wahl_tau_min
-from .corpus import ReportRow, SweepSpec, evaluate_row, sweep
+from .corpus import FAMILIES, ReportRow, SweepSpec, evaluate_row, sweep
 from .errors import GermError
 from .invariants import suspend
 from .poly import parse_polynomial
@@ -49,14 +50,20 @@ def _bounds_json(report: BoundReport | None) -> dict:
                   **_fraction_fields("margin", verdicts[key].margin)} for key in BOUND_IDS}
 
 
-def _emit_json(payload: dict, reproducible: bool) -> None:
-    if not reproducible:
-        payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _emit(args, payload: dict, lines: list[str], rows=()) -> None:
+    """Print one command's result: JSON, CSV of ``rows`` or text ``lines``."""
+    if args.json:
+        if not args.reproducible:
+            payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    elif getattr(args, "csv", False):
+        sys.stdout.write(_rows_csv(rows))
+    else:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
-def _bounds_text(report: BoundReport) -> str:
+def _bounds_lines(report: BoundReport) -> list[str]:
     lines = []
     for key in BOUND_IDS:
         v = report.verdicts[key]
@@ -67,7 +74,7 @@ def _bounds_text(report: BoundReport) -> str:
         else:
             status = ("holds" if v.holds else "FAILS") + f", margin {v.margin}"
         lines.append(f"  {key:22s} {status}")
-    return "\n".join(lines)
+    return lines
 
 
 def _parse_expect(text: str) -> dict[str, int]:
@@ -141,25 +148,21 @@ def _cmd_invariants(args) -> int:
         "bounds": _bounds_json(row.report),
         "timeout": row.note == "timeout",
     }
-    if args.json:
-        _emit_json(payload, args.reproducible)
-    elif args.csv:
-        sys.stdout.write(_rows_csv([row]))
+    lines = [f"germ: {row.germ}"]
+    if row.isolated is None:
+        lines.append(f"{_mu_tau_text(row)}; partial report only")
     else:
-        print(f"germ: {row.germ}")
-        if row.isolated is None:
-            print(f"{_mu_tau_text(row)}; partial report only")
+        lines.append(f"n={row.n}  {_mu_tau_text(row, '  ')}")
+        if row.ratio is not None:
+            lines.append(f"mu/tau = {row.ratio} ~ {float(row.ratio):.6f}")
+        if row.weights:
+            lines.append(f"weighted homogeneous: weights {row.weights[0]}, "
+                         f"degree {row.weights[1]}")
         else:
-            print(f"n={row.n}  {_mu_tau_text(row, '  ')}")
-            if row.ratio is not None:
-                print(f"mu/tau = {row.ratio} ~ {float(row.ratio):.6f}")
-            if row.weights:
-                print(f"weighted homogeneous: weights {row.weights[0]}, degree {row.weights[1]}")
-            else:
-                print("weighted homogeneous: no (in the given coordinates)")
-            if row.report is not None:
-                print("bounds:")
-                print(_bounds_text(row.report))
+            lines.append("weighted homogeneous: no (in the given coordinates)")
+        if row.report is not None:
+            lines += ["bounds:", *_bounds_lines(row.report)]
+    _emit(args, payload, lines, [row])
     if _undecided([row], args.timeout):
         return EXIT_COMPUTE
     if args.expect:
@@ -180,18 +183,16 @@ def _cmd_suspend(args) -> int:
         "base_mu": base.mu, "base_tau": base.tau,
         "mu": top.mu, "tau": top.tau,
     }
-    if args.json:
-        _emit_json(payload, args.reproducible)
-    else:
-        print(f"suspended germ: {result.suspended}   (new variable {result.new_variable})")
-        print(f"base: {_mu_tau_text(base)}")
-        print(f"suspension: {_mu_tau_text(top)}")
+    _emit(args, payload, [
+        f"suspended germ: {result.suspended}   (new variable {result.new_variable})",
+        f"base: {_mu_tau_text(base)}",
+        f"suspension: {_mu_tau_text(top)}",
+    ])
     return EXIT_COMPUTE if _undecided([base, top], args.timeout) else EXIT_OK
 
 
 def _cmd_semigroup(args) -> int:
-    gens = [int(x) for x in args.generators.split(",")]
-    s = semigroup_from_generators(gens)
+    s = semigroup_from_generators(args.generators)
     cert = certify_plane_branch(s.generators)
     payload = {
         "generators": list(s.generators),
@@ -209,18 +210,16 @@ def _cmd_semigroup(args) -> int:
             "mu": branch_milnor(s),
             "equations": [str(p) for p in eqs.as_polynomials()],
         })
-    if args.json:
-        _emit_json(payload, args.reproducible)
+    lines = [f"semigroup <{','.join(str(g) for g in s.generators)}>",
+             f"gaps: {list(s.gaps)}",
+             f"delta={s.delta}  conductor={s.conductor}"]
+    if cert is None:
+        lines.append("plane branch: no")
     else:
-        print(f"semigroup <{','.join(str(g) for g in s.generators)}>")
-        print(f"gaps: {list(s.gaps)}")
-        print(f"delta={s.delta}  conductor={s.conductor}")
-        if cert is None:
-            print("plane branch: no")
-        else:
-            print(f"plane branch: yes  (e={list(cert.e)}, n={list(cert.n)})")
-            print(f"mu = 2*delta = {2 * s.delta}")
-            print(f"monomial curve equations: {payload['equations']}")
+        lines += [f"plane branch: yes  (e={list(cert.e)}, n={list(cert.n)})",
+                  f"mu = 2*delta = {2 * s.delta}",
+                  f"monomial curve equations: {payload['equations']}"]
+    _emit(args, payload, lines)
     if args.expect:
         computed = {"delta": s.delta, "conductor": s.conductor,
                     "mu": 2 * s.delta if cert is not None else None}
@@ -237,43 +236,32 @@ def _cmd_bounds(args) -> int:
         **_fraction_fields("ratio", Fraction(args.mu, args.tau)),
         "bounds": _bounds_json(report),
     }
-    if args.json:
-        _emit_json(payload, args.reproducible)
-    else:
-        print(f"mu={args.mu} tau={args.tau} n={args.n} "
-              f"mu/tau={Fraction(args.mu, args.tau)} ~ {args.mu / args.tau:.6f}")
-        print(_bounds_text(report))
+    _emit(args, payload, [f"mu={args.mu} tau={args.tau} n={args.n} "
+                          f"mu/tau={Fraction(args.mu, args.tau)} ~ {args.mu / args.tau:.6f}",
+                          *_bounds_lines(report)])
     return EXIT_OK
 
 
 def _cmd_superisolated(args) -> int:
-    local_mus = tuple(int(x) for x in args.local_mus.split(",")) if args.local_mus else ()
-    p_g, mu = superisolated_invariants(SuperisolatedData(args.degree, local_mus))
-    payload = {"d": args.degree, "local_mus": list(local_mus), "p_g": p_g, "mu": mu}
-    report = None
+    p_g, mu = superisolated_invariants(SuperisolatedData(args.degree, args.local_mus))
+    payload = {"d": args.degree, "local_mus": list(args.local_mus), "p_g": p_g, "mu": mu}
+    lines = [f"superisolated d={args.degree}: p_g={p_g}  mu={mu}"]
     if args.tau is not None:
         report = bound_report(mu, args.tau, 2, p_g=p_g)
         payload["tau"] = args.tau
         payload.update(_fraction_fields("ratio", Fraction(mu, args.tau)))
         payload["bounds"] = _bounds_json(report)
-    if args.json:
-        _emit_json(payload, args.reproducible)
-    else:
-        print(f"superisolated d={args.degree}: p_g={p_g}  mu={mu}")
-        if report is not None:
-            print(f"with tau={args.tau}: mu/tau={Fraction(mu, args.tau)} ~ {mu / args.tau:.6f}")
-            print(_bounds_text(report))
+        lines += [f"with tau={args.tau}: mu/tau={Fraction(mu, args.tau)} ~ {mu / args.tau:.6f}",
+                  *_bounds_lines(report)]
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
 def _cmd_constants(args) -> int:
     value = kerner_nemethi_constant(args.n, args.r)
-    if args.json:
-        _emit_json({"n": args.n, "r": args.r,
-                    **_fraction_fields("constant", value)}, args.reproducible)
-    else:
-        suffix = "" if value.denominator == 1 else f" ~ {float(value):.6f}"
-        print(f"C({args.n},{args.r}) = {value}{suffix}")
+    suffix = "" if value.denominator == 1 else f" ~ {float(value):.6f}"
+    _emit(args, {"n": args.n, "r": args.r, **_fraction_fields("constant", value)},
+          [f"C({args.n},{args.r}) = {value}{suffix}"])
     return EXIT_OK
 
 
@@ -282,12 +270,10 @@ def _cmd_tau_min(args) -> int:
     ratio = Fraction((args.degree - 1) ** 3, value)
     payload = {"d": args.degree, "tau_min": value,
                **_fraction_fields("ratio", ratio)}
-    if args.json:
-        _emit_json(payload, args.reproducible)
-    else:
-        print(f"tau_min(d={args.degree}) = {value}")
-        if args.ratio:
-            print(f"(d-1)^3 / tau_min = {ratio} ~ {float(ratio):.6f}")
+    lines = [f"tau_min(d={args.degree}) = {value}"]
+    if args.ratio:
+        lines.append(f"(d-1)^3 / tau_min = {ratio} ~ {float(ratio):.6f}")
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -327,12 +313,7 @@ def _rows_csv(rows) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    spec = SweepSpec(
-        family=args.family, seed=args.seed,
-        a_min=args.a_min, a_max=args.a_max, b_min=args.b_min, b_max=args.b_max,
-        d_min=args.d_min, d_max=args.d_max, count=args.count,
-        suspension_power=args.power,
-    )
+    spec = SweepSpec(**{f.name: getattr(args, f.name) for f in fields(SweepSpec)})
     result = sweep(spec, threads=args.threads, timeout=args.timeout)
     summary = {
         "germs": len(result.rows),
@@ -342,25 +323,23 @@ def _cmd_sweep(args) -> int:
         **_fraction_fields("min_4_3_margin", result.min_43_margin),
         "violations": list(result.violations),
     }
-    if args.json:
-        _emit_json({"family": spec.family, "seed": spec.seed,
-                    "rows": [_row_json(r, args.reproducible) for r in result.rows],
-                    "summary": summary}, args.reproducible)
-    elif args.csv:
-        sys.stdout.write(_rows_csv(result.rows))
-    else:
-        for r in result.rows:
-            ratio = f"{r.ratio} ~ {float(r.ratio):.4f}" if r.ratio is not None else "-"
-            note = f"  [{r.note}]" if r.note else ""
-            print(f"[{r.index:3d}] {r.germ}: {_mu_tau_text(r)} mu/tau={ratio}{note}")
-        non_isolated = sum(1 for r in result.rows if r.isolated is False)
-        timeouts = sum(1 for r in result.rows if r.note == "timeout")
-        over_budget = sum(1 for r in result.rows if r.note == "budget exceeded")
-        print(f"summary: {summary['germs']} germs, {summary['isolated']} isolated, "
-              f"{non_isolated} non-isolated, {timeouts} timed out, {over_budget} over budget, "
-              f"min ratio {result.min_ratio}, max ratio {result.max_ratio}, "
-              f"min 4/3 margin {result.min_43_margin}, "
-              f"{len(result.violations)} bound violations")
+    lines = []
+    for r in result.rows:
+        ratio = f"{r.ratio} ~ {float(r.ratio):.4f}" if r.ratio is not None else "-"
+        note = f"  [{r.note}]" if r.note else ""
+        lines.append(f"[{r.index:3d}] {r.germ}: {_mu_tau_text(r)} mu/tau={ratio}{note}")
+    non_isolated = sum(1 for r in result.rows if r.isolated is False)
+    timeouts = sum(1 for r in result.rows if r.note == "timeout")
+    over_budget = sum(1 for r in result.rows if r.note == "budget exceeded")
+    lines.append(f"summary: {summary['germs']} germs, {summary['isolated']} isolated, "
+                 f"{non_isolated} non-isolated, {timeouts} timed out, "
+                 f"{over_budget} over budget, "
+                 f"min ratio {result.min_ratio}, max ratio {result.max_ratio}, "
+                 f"min 4/3 margin {result.min_43_margin}, "
+                 f"{len(result.violations)} bound violations")
+    _emit(args, {"family": spec.family, "seed": spec.seed,
+                 "rows": [_row_json(r, args.reproducible) for r in result.rows],
+                 "summary": summary}, lines, result.rows)
     undecided = _undecided(result.rows, args.timeout)
     return EXIT_COMPUTE if (result.violations or undecided) else EXIT_OK
 
@@ -386,6 +365,14 @@ def _seconds(text: str) -> float:
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number of seconds >= 0")
     return value
+
+
+def _naturals(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers") from None
 
 
 def _add_common(sub, csv_flag=False, timeout_flag=False):
@@ -423,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_suspend)
 
     p = subs.add_parser("semigroup", help="gaps, conductor and plane-branch data")
-    p.add_argument("--generators", required=True, help="comma-separated naturals, gcd 1")
+    p.add_argument("--generators", required=True, type=_naturals,
+                   help="comma-separated naturals, gcd 1")
     p.add_argument("--expect", help="e.g. delta=8,conductor=16,mu=16")
     _add_common(p)
     p.set_defaults(func=_cmd_semigroup)
@@ -439,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("superisolated", help="closed-form p_g and mu of a superisolated germ")
     p.add_argument("--degree", type=int, required=True, help="degree d of the initial form")
-    p.add_argument("--local-mus", default="", help="comma-separated local Milnor numbers")
+    p.add_argument("--local-mus", type=_naturals, default=(),
+                   help="comma-separated local Milnor numbers")
     p.add_argument("--tau", type=int, default=None, help="also evaluate the bound catalog")
     _add_common(p)
     p.set_defaults(func=_cmd_superisolated)
@@ -457,17 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tau_min)
 
     p = subs.add_parser("sweep", help="evaluate a seeded germ family")
-    p.add_argument("--family", required=True, choices=list(
-        ("fermat", "suspension", "quasihomogeneous_2var", "deformed_quasihomogeneous")))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--a-min", type=int, default=3)
-    p.add_argument("--a-max", type=int, default=8)
-    p.add_argument("--b-min", type=int, default=3)
-    p.add_argument("--b-max", type=int, default=8)
-    p.add_argument("--d-min", type=int, default=2)
-    p.add_argument("--d-max", type=int, default=6)
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--power", type=int, default=2, help="suspension exponent")
+    p.add_argument("--family", required=True, choices=FAMILIES)
+    for field in fields(SweepSpec)[1:-1]:  # --seed through --count
+        p.add_argument(f"--{field.name.replace('_', '-')}", type=int, default=field.default)
+    p.add_argument("--power", type=int, dest="suspension_power", metavar="POWER",
+                   default=SweepSpec.suspension_power, help="suspension exponent")
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes (default: GERM_THREADS or 1)")
     _add_common(p, csv_flag=True, timeout_flag=True)

@@ -65,11 +65,14 @@ def jet_quotient_dimension(gens: Sequence[Polynomial], max_degree: int = 64) -> 
 
     Returns :data:`~germ.localalg.INFINITE` when no plateau appears up
     to ``max_degree`` (the dimension then grows without bound for every
-    ideal this package meets in practice).
+    ideal this package meets in practice).  All generators must live in
+    the same ring, variable order included.
     """
     gens = [g for g in gens if g]
     if not gens:
         raise ValueError("need at least one nonzero generator")
+    if any(g.vars != gens[0].vars for g in gens):
+        raise ValueError("all generators must live in the same ring")
     nvars = len(gens[0].vars)
     previous = None
     for degree in range(1, max_degree + 1):

@@ -598,9 +598,12 @@ def mora_normal_form(p: Polynomial, G: Sequence[Polynomial], order: LocalOrder |
     and otherwise no leading monomial of the final reducer set divides
     the leading monomial of ``r``.  Nonzero results are normalized to
     primitive integer coefficients with positive leading coefficient.
+    ``p`` and every reducer must live in the ring of ``order``.
     """
     if order is None:
         order = LocalOrder(p.vars)
+    if p.vars != order.variables:
+        raise ValueError("the polynomial must live in the ring of the order")
     reducers = _prepare_records(G, order)
     h = _encode_poly(p, order)
     if not h:

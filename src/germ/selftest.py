@@ -16,9 +16,8 @@ from typing import Callable
 from .bounds import (SuperisolatedData, bound_report, kerner_nemethi_constant,
                      superisolated_invariants, wahl_tau_min)
 from .corpus import deformed_corpus, quasihomogeneous_corpus
-from .invariants import GermInvariants, germ_invariants, jacobian_basis, milnor_number, suspend
+from .invariants import GermInvariants, germ_invariants, milnor_number, suspend
 from .jets import jet_quotient_dimension
-from .localalg import quotient_codimension
 from .poly import Polynomial, parse_polynomial
 from .semigroup import (branch_milnor, certify_plane_branch, monomial_curve_equations,
                         semigroup_from_generators)
@@ -112,13 +111,13 @@ def criterion_4(corpus: list[Polynomial], invariants: list[GermInvariants]) -> C
     return _run(4, "weighted homogeneous germs have mu=tau", body)
 
 
-def criterion_5(corpus: list[Polynomial]) -> CriterionResult:
+def criterion_5(corpus: list[Polynomial], invariants: list[GermInvariants]) -> CriterionResult:
     def body() -> str:
         checked = 0
         suspensions = [suspend(f, 2).suspended for f in corpus[:8]]
-        for f in corpus + suspensions:
-            basis = jacobian_basis(f)
-            mu = quotient_codimension(basis)
+        evaluated = chain(zip(corpus, (inv.mu for inv in invariants)),
+                          ((g, milnor_number(g)) for g in suspensions))
+        for f, mu in evaluated:
             if not isinstance(mu, int) or mu > 30:
                 continue
             gradient = [f.partial_derivative(v) for v in f.vars]
@@ -218,14 +217,14 @@ def criterion_9() -> CriterionResult:
 def run_all(fast: bool = False) -> list[CriterionResult]:
     """Run every acceptance criterion; ``fast`` skips the heavy benchmark germ."""
     corpus = acceptance_corpus()
-    invariants = [germ_invariants(f) for f in corpus]  # shared by criteria 2, 3, 4, 6
+    invariants = [germ_invariants(f) for f in corpus]  # shared by criteria 2 to 6
     results = []
     if not fast:
         results.append(criterion_1())
     results.append(criterion_2(corpus, invariants))
     results.append(criterion_3(corpus, invariants))
     results.append(criterion_4(corpus, invariants))
-    results.append(criterion_5(corpus))
+    results.append(criterion_5(corpus, invariants))
     results.append(criterion_6(corpus, invariants))
     results.append(criterion_7())
     results.append(criterion_8())

@@ -25,7 +25,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def invariants(corpus):
-    # Criteria 2, 3, 4 and 6 share the corpus invariants; the seconds
+    # Criteria 2 to 6 share the corpus invariants; the seconds
     # spent computing them count against criterion 2's time budget.
     start = time.perf_counter()
     invs = [germ_invariants(f) for f in corpus]
@@ -75,8 +75,8 @@ def test_criterion_4_saito_direction(corpus, invariants):
     _report(selftest.criterion_4(corpus, invariants[0]))
 
 
-def test_criterion_5_oracle_equivalence(corpus):
-    _report(selftest.criterion_5(corpus))
+def test_criterion_5_oracle_equivalence(corpus, invariants):
+    _report(selftest.criterion_5(corpus, invariants[0]))
 
 
 def test_criterion_6_liu_bound(corpus, invariants):

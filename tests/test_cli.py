@@ -75,6 +75,12 @@ def test_usage_error_exits_2(capsys):
     code = main(["no-such-command"])
     capsys.readouterr()
     assert code == 2
+    # a malformed comma list is rejected while parsing, naming its flag
+    for flag, argv in [("--generators", ["semigroup", "--generators", "4,x"]),
+                       ("--local-mus", ["superisolated", "--degree", "3", "--local-mus", "1,,2"])]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"argument {flag}: " in err
 
 
 def test_suspend_command(capsys):
@@ -135,6 +141,50 @@ def test_tau_min_command(capsys):
     code, out, _ = run(capsys, "tau-min", "--degree", "5", "--ratio")
     assert code == 0
     assert "56" in out
+
+
+BOUNDS_TEXT = """\
+  positivity             holds, margin 628
+  liu                    holds, margin 2692/3
+  dimca_greuel_4_3       margin -224 (not applicable)
+  conjecture_3_2         holds, margin 404
+"""
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["bounds", "--mu", "2288", "--tau", "1660", "--n", "2"],
+     "mu=2288 tau=1660 n=2 mu/tau=572/415 ~ 1.378313\n" + BOUNDS_TEXT
+     + "  wahl_2pg               not evaluable\n"
+       "  tomari                 not applicable\n"
+       "  durfee                 not evaluable\n"
+       "  space_branch_quarter   margin -224 (not applicable)\n"),
+    (["superisolated", "--degree", "14", "--local-mus", "91"],
+     "superisolated d=14: p_g=364  mu=2288\n"),
+    (["superisolated", "--degree", "14", "--local-mus", "91", "--tau", "1660"],
+     "superisolated d=14: p_g=364  mu=2288\n"
+     "with tau=1660: mu/tau=572/415 ~ 1.378313\n" + BOUNDS_TEXT
+     + "  wahl_2pg               holds, margin 100\n"
+       "  tomari                 margin -625 (not applicable)\n"
+       "  durfee                 holds, margin 104\n"
+       "  space_branch_quarter   margin -224 (not applicable)\n"),
+    (["constants", "--n", "3", "--r", "2"], "C(3,2) = 16\n"),
+    (["constants", "--n", "2", "--r", "2"], "C(2,2) = 36/7 ~ 5.142857\n"),
+    (["tau-min", "--degree", "5"], "tau_min(d=5) = 56\n"),
+    (["tau-min", "--degree", "5", "--ratio"],
+     "tau_min(d=5) = 56\n(d-1)^3 / tau_min = 8/7 ~ 1.142857\n"),
+    (["semigroup", "--generators", "4,6,13"],
+     "semigroup <4,6,13>\n"
+     "gaps: [1, 2, 3, 5, 7, 9, 11, 15]\n"
+     "delta=8  conductor=16\n"
+     "plane branch: yes  (e=[4, 2, 1], n=[2, 2])\n"
+     "mu = 2*delta = 16\n"
+     "monomial curve equations: ['u1^2-u0^3', 'u2^2-u0^5*u1']\n"),
+    (["semigroup", "--generators", "3,4,5"],
+     "semigroup <3,4,5>\ngaps: [1, 2]\ndelta=2  conductor=3\nplane branch: no\n"),
+])
+def test_text_output_is_pinned(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, text, "")
 
 
 def test_sweep_json_deterministic(capsys):

@@ -33,6 +33,12 @@ def test_local_unit_factor_is_invisible():
 def test_input_validation():
     with pytest.raises(ValueError):
         jet_quotient_dimension([Polynomial.zero(V2)])
+    # generators from different rings, even with the same variables in
+    # another order, are rejected instead of zipped exponent by exponent
+    with pytest.raises(ValueError):
+        jet_quotient_dimension([P("x^2"), P("y^3", ("x", "y", "z"))])
+    with pytest.raises(ValueError):
+        jet_quotient_dimension([P("x^2"), P("x^3", ("y", "x"))])
 
 
 def test_three_variables():

@@ -100,6 +100,13 @@ def test_nf_examples():
     assert mora_normal_form(P("4/3*x"), [y]) == x
     assert mora_normal_form(P("-2*x+y^2"), [y]) == P("2*x-y^2")
     assert mora_normal_form(P("-2*x"), []) == x
+    # p from another ring than the order's is rejected, not read in the
+    # order's variables (x+y^2 would come back as y+x^2, or as x^2 mod y)
+    swapped = LocalOrder(("y", "x"))
+    with pytest.raises(ValueError):
+        mora_normal_form(P("x+y^2"), [], swapped)
+    with pytest.raises(ValueError):
+        mora_normal_form(P("x+y^2"), [P("y", ("y", "x"))], swapped)
 
 
 def test_nf_local_unit_example():
