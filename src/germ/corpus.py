@@ -75,40 +75,26 @@ def _deformations(a: int, b: int, rng: random.Random) -> Polynomial:
     return Polynomial(vars, terms)
 
 
-def quasihomogeneous_corpus(a_range, b_range) -> list[Polynomial]:
-    return [parse_polynomial(f"x^{a}+y^{b}", ["x", "y"])
-            for a in a_range for b in b_range]
-
-
-def deformed_corpus(a_range, b_range, count: int, seed: int) -> list[Polynomial]:
-    rng = random.Random(seed)
-    a_lo, a_hi = min(a_range), max(a_range)
-    b_lo, b_hi = min(b_range), max(b_range)
-    out = []
-    for _ in range(count):
-        a = rng.randint(a_lo, a_hi)
-        b = rng.randint(b_lo, b_hi)
-        out.append(_deformations(a, b, rng))
-    return out
-
-
 def generate_corpus(spec: SweepSpec) -> list[Polynomial]:
-    """The deterministic germ list of a sweep specification."""
+    """The deterministic germ list of a sweep specification.
+
+    The suspension family is the deformed family of the same seed and
+    ranges, pushed up one dimension.
+    """
     if spec.family == "fermat":
         return [parse_polynomial(f"x^{d}+y^{d}+z^{d}", ["x", "y", "z"])
                 for d in range(spec.d_min, spec.d_max + 1)]
     if spec.family == "quasihomogeneous_2var":
-        return quasihomogeneous_corpus(range(spec.a_min, spec.a_max + 1),
-                                       range(spec.b_min, spec.b_max + 1))
+        return [parse_polynomial(f"x^{a}+y^{b}", ["x", "y"])
+                for a in range(spec.a_min, spec.a_max + 1)
+                for b in range(spec.b_min, spec.b_max + 1)]
+    rng = random.Random(spec.seed)
+    deformed = [_deformations(rng.randint(spec.a_min, spec.a_max),
+                              rng.randint(spec.b_min, spec.b_max), rng)
+                for _ in range(spec.count)]
     if spec.family == "deformed_quasihomogeneous":
-        return deformed_corpus(range(spec.a_min, spec.a_max + 1),
-                               range(spec.b_min, spec.b_max + 1),
-                               spec.count, spec.seed)
-    # suspension: a deformed curve corpus pushed up one dimension
-    base = deformed_corpus(range(spec.a_min, spec.a_max + 1),
-                           range(spec.b_min, spec.b_max + 1),
-                           spec.count, spec.seed)
-    return [suspend(f, spec.suspension_power).suspended for f in base]
+        return deformed
+    return [suspend(f, spec.suspension_power).suspended for f in deformed]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .bounds import (SuperisolatedData, bound_report, kerner_nemethi_constant,
                      superisolated_invariants, wahl_tau_min)
-from .corpus import deformed_corpus, quasihomogeneous_corpus
+from .corpus import SweepSpec, generate_corpus
 from .invariants import GermInvariants, germ_invariants, milnor_number, suspend
 from .jets import jet_quotient_dimension
 from .poly import Polynomial, parse_polynomial
@@ -32,6 +32,9 @@ BENCHMARK_GERM_TAU = 1660
 #: Number of corpus germs whose suspension criterion 3 checks.
 SUSPENSION_SAMPLE = 50
 
+#: The diagonal surfaces x^d+y^d+z^d, d = 2..6, of criteria 6 and 7.
+FERMAT = SweepSpec("fermat", d_min=2, d_max=6)
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -44,9 +47,10 @@ class CriterionResult:
 
 def acceptance_corpus() -> list[Polynomial]:
     """>= 200 two-variable germs: the 36 pure seeds plus seeded deformations."""
-    pure = quasihomogeneous_corpus(range(3, 9), range(3, 9))
-    deformed = deformed_corpus(range(3, 9), range(3, 9), 170, CORPUS_SEED)
-    return pure + deformed
+    specs = (SweepSpec("quasihomogeneous_2var", a_min=3, a_max=8, b_min=3, b_max=8),
+             SweepSpec("deformed_quasihomogeneous", seed=CORPUS_SEED,
+                       a_min=3, a_max=8, b_min=3, b_max=8, count=170))
+    return [f for spec in specs for f in generate_corpus(spec)]
 
 
 def _run(number: int, name: str, body: Callable[[], str]) -> CriterionResult:
@@ -73,14 +77,13 @@ def criterion_1() -> CriterionResult:
 def criterion_2(corpus: list[Polynomial], invariants: list[GermInvariants]) -> CriterionResult:
     def body() -> str:
         assert len(corpus) >= 200, f"corpus has only {len(corpus)} germs"
-        worst = None
+        margins = []
         for f, inv in zip(corpus, invariants):
             assert inv.isolated, f"non-isolated corpus germ {f}"
-            margin = 4 * inv.tau - 3 * inv.mu
-            assert margin > 0, f"3mu<4tau fails for {f}: mu={inv.mu} tau={inv.tau}"
-            if worst is None or margin < worst:
-                worst = margin
-        return f"{len(corpus)} germs, min(4tau-3mu)={worst}"
+            verdict = bound_report(inv.mu, inv.tau, 1).verdicts["dimca_greuel_4_3"]
+            assert verdict.holds, f"3mu<4tau fails for {f}: mu={inv.mu} tau={inv.tau}"
+            margins.append(verdict.margin)
+        return f"{len(corpus)} germs, min(4tau-3mu)={min(margins)}"
     return _run(2, "plane-curve 4/3 bound on corpus", body)
 
 
@@ -103,9 +106,6 @@ def criterion_4(corpus: list[Polynomial], invariants: list[GermInvariants]) -> C
             if inv.weighted_homogeneous_in_coords is not None:
                 with_weights += 1
                 assert inv.mu == inv.tau, f"weights present but mu!=tau for {f}"
-            if inv.mu != inv.tau:
-                assert inv.weighted_homogeneous_in_coords is None, \
-                    f"mu!=tau but weights found for {f}"
         assert with_weights, "no weighted homogeneous germ in corpus"
         return f"{with_weights} weighted-homogeneous germs, all with mu=tau"
     return _run(4, "weighted homogeneous germs have mu=tau", body)
@@ -131,17 +131,15 @@ def criterion_5(corpus: list[Polynomial], invariants: list[GermInvariants]) -> C
 
 def criterion_6(corpus: list[Polynomial], invariants: list[GermInvariants]) -> CriterionResult:
     def body() -> str:
-        three_var = [suspend(f, 2).suspended for f in corpus[:25]]
-        three_var += [parse_polynomial(f"x^{d}+y^{d}+z^{d}", ["x", "y", "z"])
-                      for d in range(2, 7)]
+        three_var = [suspend(f, 2).suspended for f in corpus[:25]] + generate_corpus(FERMAT)
         checked = 0
         evaluated = chain(zip(corpus, invariants), ((g, germ_invariants(g)) for g in three_var))
         for f, inv in evaluated:
             if not inv.isolated:
                 continue
-            N = inv.germ_dimension + 1
-            assert N * inv.tau >= inv.mu, \
-                f"tau >= mu/N fails for {f}: mu={inv.mu} tau={inv.tau} N={N}"
+            n = inv.germ_dimension
+            assert bound_report(inv.mu, inv.tau, n).verdicts["liu"].holds, \
+                f"tau >= mu/N fails for {f}: mu={inv.mu} tau={inv.tau} N={n + 1}"
             checked += 1
         return f"{checked} pairs checked in 2 and 3 variables"
     return _run(6, "Liu bound tau >= mu/N", body)
@@ -153,14 +151,15 @@ def criterion_7() -> CriterionResult:
             for b in range(2, 10):
                 f = parse_polynomial(f"x^{a}+y^{b}", ["x", "y"])
                 assert milnor_number(f) == (a - 1) * (b - 1), f"mu(x^{a}+y^{b})"
-        for d in range(2, 7):
-            f = parse_polynomial(f"x^{d}+y^{d}+z^{d}", ["x", "y", "z"])
+        for d, f in enumerate(generate_corpus(FERMAT), start=FERMAT.d_min):
             assert milnor_number(f) == (d - 1) ** 3, f"mu of the d={d} diagonal germ"
         assert wahl_tau_min(2) == 1 and wahl_tau_min(5) == 56
         previous = None
         for d in range(2, 1001):
-            ratio = Fraction((d - 1) ** 3, wahl_tau_min(d))
-            assert ratio < Fraction(3, 2), f"ratio at d={d} reaches 3/2"
+            mu, tau = (d - 1) ** 3, wahl_tau_min(d)
+            assert bound_report(mu, tau, 2).verdicts["conjecture_3_2"].holds, \
+                f"ratio at d={d} reaches 3/2"
+            ratio = Fraction(mu, tau)
             if previous is not None:
                 assert ratio >= previous, f"ratio decreases at d={d}"
             previous = ratio

@@ -44,10 +44,10 @@ def _reachable(target: int, gens: Sequence[int]) -> bool:
     for g in gens:
         if g == 0 or g > target:
             continue
-        prev = 0
-        while prev != bits:
-            prev = bits
-            bits |= (bits << g) & mask
+        shift = g  # shifts g, 2g, 4g, ... add every multiple of g up to target
+        while shift <= target:
+            bits |= (bits << shift) & mask
+            shift *= 2
     return bool(bits >> target & 1)
 
 

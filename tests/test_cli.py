@@ -81,6 +81,15 @@ def test_usage_error_exits_2(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert f"argument {flag}: " in err
+    # a malformed, empty or unknown --expect entry is rejected before anything is computed
+    for argv in [["invariants", "--vars", "x,y", "--poly", "x^3+y^4", "--expect", "mu"],
+                 ["invariants", "--vars", "x,y", "--poly", "x^3+y^4", "--expect", "mu=6,tua=6"],
+                 ["invariants", "--vars", "x,y", "--poly", "x^3+y^4", "--expect", ""],
+                 ["semigroup", "--generators", "4,6,13", "--expect", "tau=8"]]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "argument --expect: " in err
 
 
 def test_suspend_command(capsys):
@@ -102,6 +111,13 @@ def test_semigroup_command(capsys):
     assert data["plane_branch"] is True
     assert data["delta"] == 8 and data["conductor"] == 16 and data["mu"] == 16
     assert data["equations"] == ["u1^2-u0^3", "u2^2-u0^5*u1"]
+
+
+def test_non_minimal_generators_print_one_warning_line(capsys):
+    code, out, err = run(capsys, "semigroup", "--generators", "4,6,13,8")
+    assert code == 0
+    assert out.startswith("semigroup <4,6,13>\n")
+    assert err == "warning: generating set [4, 6, 8, 13] is not minimal; using [4, 6, 13]\n"
 
 
 def test_semigroup_not_plane_branch(capsys):

@@ -1,8 +1,32 @@
 """Sweep families, determinism, report rows."""
 
+import hashlib
+
 import pytest
 
-from germ import SweepSpec, generate_corpus, sweep
+from germ import SweepSpec, generate_corpus, selftest, sweep
+
+#: sha256 of the newline-joined printed germs, per (family, seed) at the
+#: default ranges and count.  A change to any corpus builder shows here.
+CORPUS_DIGESTS = {
+    ("fermat", 0): "7579d76c9f24e3d69ed3bd3325b874ff0d08a44d1db84432b7c7b246fe8e9781",
+    ("fermat", 42): "7579d76c9f24e3d69ed3bd3325b874ff0d08a44d1db84432b7c7b246fe8e9781",
+    ("suspension", 0): "b89a26200b9bf9c47a369b4d73619ad44c31758696480e38e793a196075ca3d0",
+    ("suspension", 42): "001d03f5edde42ca24d30063b783130eb28a1ac441aaf20df75430b191a72b52",
+    ("quasihomogeneous_2var", 0):
+        "0e9343e3363af4375673352951fb24df3a9236bc254e82d4d31dd65ed986acd4",
+    ("quasihomogeneous_2var", 42):
+        "0e9343e3363af4375673352951fb24df3a9236bc254e82d4d31dd65ed986acd4",
+    ("deformed_quasihomogeneous", 0):
+        "4573a7c8ec43f73792afe4a466030b25462fcb5ae01e7ebadadc777e7e82795a",
+    ("deformed_quasihomogeneous", 42):
+        "1a1c22c29d32e7a21635d5e353b03b171b0dcef28881b1cf01c98a719d1bf429",
+}
+ACCEPTANCE_DIGEST = "53441ef4333e748cb8dd4b92bc54239e2bbb548311ce5dbfe9e4bd1b31595d12"
+
+
+def _digest(germs):
+    return hashlib.sha256("\n".join(map(str, germs)).encode()).hexdigest()
 
 
 def test_spec_validation():
@@ -24,6 +48,15 @@ def test_corpus_is_seed_deterministic():
     other = [str(f) for f in generate_corpus(
         SweepSpec(family="deformed_quasihomogeneous", seed=100, count=12))]
     assert first != other
+
+
+@pytest.mark.parametrize("family, seed", sorted(CORPUS_DIGESTS))
+def test_corpus_is_pinned(family, seed):
+    assert _digest(generate_corpus(SweepSpec(family, seed=seed))) == CORPUS_DIGESTS[family, seed]
+
+
+def test_acceptance_corpus_is_pinned():
+    assert _digest(selftest.acceptance_corpus()) == ACCEPTANCE_DIGEST
 
 
 def test_fermat_sweep_rows():

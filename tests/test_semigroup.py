@@ -74,6 +74,13 @@ def test_non_minimal_generators_warn_and_minimize():
     assert minimal_generators([2, 3, 4, 5]) == (2, 3)
 
 
+def test_membership_scales_with_a_large_generator():
+    # deciding 4_000_001 against <2> takes about 22 doubling shifts, not 2 million passes
+    assert minimal_generators([2, 4_000_001]) == (2, 4_000_001)
+    cert = certify_plane_branch([2, 4_000_001])
+    assert cert is not None and cert.witnesses == ((4_000_001,),)
+
+
 def test_certify_2_3():
     cert = certify_plane_branch([2, 3])
     assert cert is not None
