@@ -47,11 +47,8 @@ def _verdict(applicable: bool, margin: Fraction | None, strict: bool) -> BoundVe
 
 @dataclass(frozen=True)
 class BoundReport:
-    mu: int
-    tau: int
-    germ_dimension: int
-    p_g: int | None
-    multiplicity: int | None
+    """The catalog's verdicts on one input, keyed and ordered by ``BOUND_IDS``."""
+
     verdicts: dict[str, BoundVerdict]
 
 
@@ -86,7 +83,7 @@ def bound_report(mu: int, tau: int, n: int, p_g: int | None = None,
         "durfee": _verdict(n == 2, Fraction(mu - 6 * p_g) if pg_known else None, strict=False),
         "space_branch_quarter": dimca_greuel,
     }
-    return BoundReport(mu, tau, n, p_g, multiplicity, verdicts)
+    return BoundReport(verdicts)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 computation error, timeout or exceeded work
 ceiling, 2 usage error,
 3 when an ``--expect`` assertion fails.  Machine output is selected
-with ``--json`` or (for sweeps and invariants) ``--csv``; JSON carries
-a ``generated_at`` timestamp unless ``--reproducible`` is given.
+with ``--json`` or (for sweeps and invariants) ``--csv``, not both;
+JSON carries a ``generated_at`` timestamp unless ``--reproducible`` is
+given.
 """
 
 from __future__ import annotations
@@ -44,15 +45,52 @@ def _fraction_fields(name: str, value: Fraction | None) -> dict:
 
 
 def _bounds_json(report: BoundReport | None) -> dict:
-    if report is None:
-        return {}
-    verdicts = report.verdicts
-    return {key: {"applicable": verdicts[key].applicable, "holds": verdicts[key].holds,
-                  **_fraction_fields("margin", verdicts[key].margin)} for key in BOUND_IDS}
+    """Every catalog id in order; with no report all its fields are null."""
+    verdicts = report.verdicts if report is not None else dict.fromkeys(BOUND_IDS)
+    return {key: {"applicable": v and v.applicable, "holds": v and v.holds,
+                  **_fraction_fields("margin", v and v.margin)} for key, v in verdicts.items()}
+
+
+def _row_json(row: ReportRow, reproducible: bool) -> dict:
+    """The one encoding of a report row: JSON rows, CSV columns, ``invariants``."""
+    return {
+        "index": row.index,
+        "germ": row.germ,
+        "n": row.n,
+        "mu": row.mu,
+        "tau": row.tau,
+        "isolated": row.isolated,
+        **_fraction_fields("ratio", row.ratio),
+        "ratio_decimal": float(row.ratio) if row.ratio is not None else None,
+        "bounds": _bounds_json(row.report),
+        "wall_time_s": None if reproducible else round(row.wall_time_s, 6),
+        "note": row.note,
+    }
+
+
+def _csv_columns(row: dict) -> dict:
+    """A ``_row_json`` row with each bound spread into ``{id}.{field}`` columns in place."""
+    columns = {}
+    for name, value in row.items():
+        if name == "bounds":
+            columns.update({f"{key}.{field}": x for key, entry in value.items()
+                            for field, x in entry.items()})
+        else:
+            columns[name] = value
+    return columns
+
+
+def _rows_csv(rows: list[dict]) -> str:
+    flat = [_csv_columns(row) for row in rows]
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=list(flat[0]), lineterminator="\r\n")
+    writer.writeheader()
+    writer.writerows(flat)
+    return buffer.getvalue()
 
 
 def _emit(args, payload: dict, lines: list[str], rows=()) -> None:
-    """Print one command's result: JSON, CSV of ``rows`` or text ``lines``."""
+    """Print one command's result: JSON, CSV of the ``_row_json`` ``rows`` or text ``lines``."""
     if args.json:
         if not args.reproducible:
             payload["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -117,17 +155,12 @@ def _mu_tau_text(row: ReportRow, sep: str = " ") -> str:
 def _cmd_invariants(args) -> int:
     f = parse_polynomial(args.poly, args.vars)
     row = evaluate_row(0, f, args.timeout)
+    data = _row_json(row, args.reproducible)
     payload = {
-        "germ": row.germ,
+        **data,
         "vars": list(f.vars),
-        "n": row.n,
-        "mu": row.mu,
-        "tau": row.tau,
-        "isolated": row.isolated,
-        **_fraction_fields("ratio", row.ratio),
         "weights": list(row.weights[0]) if row.weights else None,
         "weighted_degree": row.weights[1] if row.weights else None,
-        "bounds": _bounds_json(row.report),
         "timeout": row.note == "timeout",
     }
     lines = [f"germ: {row.germ}"]
@@ -144,7 +177,7 @@ def _cmd_invariants(args) -> int:
             lines.append("weighted homogeneous: no (in the given coordinates)")
         if row.report is not None:
             lines += ["bounds:", *_bounds_lines(row.report)]
-    _emit(args, payload, lines, [row])
+    _emit(args, payload, lines, [data])
     if _undecided([row], args.timeout):
         return EXIT_COMPUTE
     if args.expect:
@@ -263,41 +296,6 @@ def _cmd_tau_min(args) -> int:
     return EXIT_OK
 
 
-def _row_json(row: ReportRow, reproducible: bool = False) -> dict:
-    return {
-        "index": row.index,
-        "germ": row.germ,
-        "n": row.n,
-        "mu": row.mu,
-        "tau": row.tau,
-        "isolated": row.isolated,
-        **_fraction_fields("ratio", row.ratio),
-        "ratio_decimal": float(row.ratio) if row.ratio is not None else None,
-        "bounds": _bounds_json(row.report),
-        "wall_time_s": None if reproducible else round(row.wall_time_s, 6),
-        "note": row.note,
-    }
-
-
-_CSV_BASE = ("index", "germ", "n", "mu", "tau", "isolated",
-             "ratio_num", "ratio_den", "ratio_decimal")
-_CSV_BOUND = ("applicable", "holds", "margin_num", "margin_den")
-
-
-def _rows_csv(rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow([*_CSV_BASE, *(f"{key}.{field}" for key in BOUND_IDS for field in _CSV_BOUND),
-                     "wall_time_s"])
-    for row in rows:
-        data = _row_json(row)
-        writer.writerow([*(data[k] for k in _CSV_BASE),
-                         *(data["bounds"].get(key, {}).get(field)
-                           for key in BOUND_IDS for field in _CSV_BOUND),
-                         data["wall_time_s"]])
-    return buffer.getvalue()
-
-
 def _cmd_sweep(args) -> int:
     spec = SweepSpec(**{f.name: getattr(args, f.name) for f in fields(SweepSpec)})
     result = sweep(spec, threads=args.threads, timeout=args.timeout)
@@ -323,9 +321,9 @@ def _cmd_sweep(args) -> int:
                  f"min ratio {result.min_ratio}, max ratio {result.max_ratio}, "
                  f"min 4/3 margin {result.min_43_margin}, "
                  f"{len(result.violations)} bound violations")
-    _emit(args, {"family": spec.family, "seed": spec.seed,
-                 "rows": [_row_json(r, args.reproducible) for r in result.rows],
-                 "summary": summary}, lines, result.rows)
+    rows = [_row_json(r, args.reproducible) for r in result.rows]
+    _emit(args, {"family": spec.family, "seed": spec.seed, "rows": rows, "summary": summary},
+          lines, rows)
     undecided = _undecided(result.rows, args.timeout)
     return EXIT_COMPUTE if (result.violations or undecided) else EXIT_OK
 
@@ -382,11 +380,12 @@ def _expectations(*keys: str):
 
 
 def _add_common(sub, csv_flag=False, timeout_flag=False):
-    sub.add_argument("--json", action="store_true", help="emit one JSON object")
+    output = sub.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true", help="emit one JSON object")
     if csv_flag:
-        sub.add_argument("--csv", action="store_true", help="emit RFC 4180 CSV rows")
+        output.add_argument("--csv", action="store_true", help="emit RFC 4180 CSV rows")
     sub.add_argument("--reproducible", action="store_true",
-                     help="suppress the timestamp field in JSON output")
+                     help="suppress the timestamp and timing fields")
     if timeout_flag:
         sub.add_argument("--timeout", type=_seconds, default=None, metavar="SECONDS",
                          help="deadline per germ in seconds, a finite number >= 0 "
@@ -459,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{field.name.replace('_', '-')}", type=int, default=field.default)
     p.add_argument("--power", type=int, dest="suspension_power", metavar="POWER",
                    default=SweepSpec.suspension_power, help="suspension exponent")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: GERM_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
     _add_common(p, csv_flag=True, timeout_flag=True)
     p.set_defaults(func=_cmd_sweep)
 

@@ -9,7 +9,6 @@ row and excluded from ratio summaries rather than silently retried.
 
 from __future__ import annotations
 
-import os
 import random
 import signal
 import time
@@ -193,18 +192,15 @@ class SweepResult:
     violations: tuple[str, ...]
 
 
-def sweep(spec: SweepSpec, threads: int | None = None,
-          timeout: float | None = None) -> SweepResult:
+def sweep(spec: SweepSpec, threads: int = 1, timeout: float | None = None) -> SweepResult:
     """Evaluate a whole corpus; deterministic under a fixed seed.
 
-    ``threads`` (or the ``GERM_THREADS`` environment variable) caps the
-    number of worker processes; rows keep corpus order regardless.
+    ``threads`` caps the number of worker processes; rows keep corpus
+    order regardless.
     ``timeout`` is a per-row deadline in seconds, enforced in whichever
     process evaluates the row; a row that misses it is reported with
     the note ``timeout``.
     """
-    if threads is None:
-        threads = int(os.environ.get("GERM_THREADS", "1"))
     if threads < 1:
         raise ValueError("thread count must be positive")
     germs = generate_corpus(spec)

@@ -11,7 +11,7 @@ import pytest
 
 import germ.corpus
 import germ.invariants
-from germ import parse_polynomial
+from germ import BOUND_IDS, parse_polynomial
 from germ.cli import main
 
 BENCHMARK_GERM = "x^14+y^6*z^8+z^14+x^9*z^5+(x+y+z)^15"
@@ -60,6 +60,10 @@ def test_invariants_non_isolated(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["mu"] is None and data["isolated"] is False
+    # every catalog id is present, with all fields null for lack of a report
+    assert list(data["bounds"]) == list(BOUND_IDS)
+    assert all(entry == {"applicable": None, "holds": None, "margin_num": None,
+                         "margin_den": None} for entry in data["bounds"].values())
 
 
 def test_parse_error_exits_1(capsys):
@@ -90,6 +94,13 @@ def test_usage_error_exits_2(capsys):
         assert code == 2
         assert out == ""
         assert "argument --expect: " in err
+    # JSON and CSV output exclude each other
+    for argv in [["invariants", "--vars", "x,y", "--poly", "x^3+y^4"],
+                 ["sweep", "--family", "fermat", "--d-max", "3"]]:
+        code, out, err = run(capsys, *argv, "--json", "--csv")
+        assert code == 2
+        assert out == ""
+        assert "argument --csv: not allowed with argument --json" in err
 
 
 def test_suspend_command(capsys):
@@ -314,6 +325,25 @@ def test_sweep_csv(capsys):
     assert len(body) == 2
     assert body[0][header.index("mu")] == "1"
     assert body[1][header.index("mu")] == "8"
+    # the columns are the JSON row keys, each bound spread in place
+    code, out, _ = run(capsys, "sweep", "--family", "fermat",
+                       "--d-min", "2", "--d-max", "3", "--json", "--reproducible")
+    keys = list(json.loads(out)["rows"][0])
+    bound_columns = [f"{key}.{field}" for key in BOUND_IDS
+                     for field in ("applicable", "holds", "margin_num", "margin_den")]
+    assert header == [column for key in keys
+                      for column in (bound_columns if key == "bounds" else [key])]
+    assert header[-1] == "note"
+
+
+def test_sweep_csv_reproducible(capsys):
+    args = ["sweep", "--family", "fermat", "--d-max", "4", "--csv", "--reproducible"]
+    code, out1, _ = run(capsys, *args)
+    assert code == 0
+    code, out2, _ = run(capsys, *args)
+    assert out1 == out2
+    header, *body = csv.reader(io.StringIO(out1))
+    assert [row[header.index("wall_time_s")] for row in body] == ["", "", ""]
 
 
 def test_timeout_flag(capsys):
@@ -355,6 +385,7 @@ def test_germ_past_the_work_ceiling_is_undecided(capsys, monkeypatch):
     data = json.loads(out)
     assert (data["mu"], data["tau"], data["isolated"]) == (None, None, None)
     assert data["timeout"] is False
+    assert data["note"] == "budget exceeded"
     # Text output never calls it infinite; the first round's ceiling
     # reaches the same verdict in a fraction of the time.
     monkeypatch.setattr(germ.invariants, "_BUDGET_CEILING", germ.invariants._BUDGET_START)
@@ -362,6 +393,11 @@ def test_germ_past_the_work_ceiling_is_undecided(capsys, monkeypatch):
     assert code == 1
     assert "budget exceeded" in out and "budget exceeded" in err
     assert "infinite" not in out and "weighted homogeneous" not in out
+    code, out, _ = run(capsys, "invariants", "--vars", "x,y", "--poly", NON_ISOLATED_CURVE,
+                       "--csv")
+    assert code == 1
+    header, row = list(csv.reader(io.StringIO(out)))
+    assert row[header.index("note")] == "budget exceeded"
 
 
 def test_suspend_non_isolated_text(capsys):

@@ -111,11 +111,6 @@ def test_parallel_sweep_matches_serial():
     assert strip(serial.rows) == strip(parallel.rows)
 
 
-def test_germ_threads_environment_cap(monkeypatch):
-    spec = SweepSpec(family="fermat", d_min=2, d_max=3)
-    monkeypatch.setenv("GERM_THREADS", "2")
-    result = sweep(spec)
-    assert [r.mu for r in result.rows] == [1, 8]
-    monkeypatch.setenv("GERM_THREADS", "0")
+def test_sweep_rejects_zero_threads():
     with pytest.raises(ValueError):
-        sweep(spec)
+        sweep(SweepSpec(family="fermat", d_min=2, d_max=3), threads=0)
