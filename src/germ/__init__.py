@@ -5,14 +5,14 @@ numerical semigroups, closed-form families, and a catalog of
 inequality and conjecture checks, all in exact rational arithmetic.
 """
 
-from .bounds import (BOUND_IDS, BoundReport, BoundVerdict, SuperisolatedData,
-                     bound_report, kerner_nemethi_constant, stirling2,
-                     superisolated_invariants, wahl_tau_min)
+from .bounds import (BOUND_IDS, BoundReport, BoundVerdict, bound_report,
+                     kerner_nemethi_constant, stirling2, superisolated_invariants,
+                     wahl_tau_min)
 from .corpus import ReportRow, SweepResult, SweepSpec, evaluate_germ, generate_corpus, sweep
 from .errors import (GermError, MonomialOverflowError, NotAGermError,
                      NotPlaneBranchError, ParseError, UnknownVariableError)
-from .invariants import (GermInvariants, SuspensionResult, find_positive_weights,
-                         germ_invariants, milnor_number, suspend, tjurina_number)
+from .invariants import (GermInvariants, find_positive_weights, germ_invariants,
+                         milnor_number, suspend, tjurina_number)
 from .jets import jet_quotient_dimension
 from .localalg import (GREATER, INFINITE, LESS, EQUAL, LocalOrder, StandardBasis,
                        extend_standard_basis, mora_normal_form, quotient_codimension,
@@ -26,14 +26,13 @@ from .semigroup import (MonomialCurveEquations, NumericalSemigroup,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUND_IDS", "BoundReport", "BoundVerdict", "SuperisolatedData",
-    "bound_report", "kerner_nemethi_constant", "stirling2",
-    "superisolated_invariants", "wahl_tau_min",
+    "BOUND_IDS", "BoundReport", "BoundVerdict", "bound_report",
+    "kerner_nemethi_constant", "stirling2", "superisolated_invariants", "wahl_tau_min",
     "ReportRow", "SweepResult", "SweepSpec", "evaluate_germ", "generate_corpus", "sweep",
     "GermError", "MonomialOverflowError", "NotAGermError", "NotPlaneBranchError",
     "ParseError", "UnknownVariableError",
-    "GermInvariants", "SuspensionResult", "find_positive_weights", "germ_invariants",
-    "milnor_number", "suspend", "tjurina_number",
+    "GermInvariants", "find_positive_weights", "germ_invariants", "milnor_number",
+    "suspend", "tjurina_number",
     "jet_quotient_dimension",
     "GREATER", "INFINITE", "LESS", "EQUAL", "LocalOrder", "StandardBasis",
     "extend_standard_basis", "mora_normal_form", "quotient_codimension", "standard_basis",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 #: Catalog order is fixed; JSON and CSV output follow it.
 BOUND_IDS = (
@@ -86,29 +87,20 @@ def bound_report(mu: int, tau: int, n: int, p_g: int | None = None,
     return BoundReport(verdicts)
 
 
-@dataclass(frozen=True)
-class SuperisolatedData:
-    """Degree of the initial projective curve and its local Milnor numbers."""
-
-    d: int
-    local_mus: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("degree must be at least 2")
-        if any(m < 1 for m in self.local_mus):
-            raise ValueError("local Milnor numbers must be positive")
-
-
-def superisolated_invariants(data: SuperisolatedData) -> tuple[int, int]:
+def superisolated_invariants(d: int, local_mus: Sequence[int] = ()) -> tuple[int, int]:
     """Geometric genus and Milnor number of a superisolated germ.
 
-    ``p_g = d(d-1)(d-2)/6`` and ``mu = (d-1)**3 + sum of local mus``;
-    both products are exactly divisible.
+    ``d`` is the degree of the initial projective curve and ``local_mus``
+    the Milnor numbers of its singular points.  ``p_g = d(d-1)(d-2)/6``
+    and ``mu = (d-1)**3 + sum of local mus``; both products are exactly
+    divisible.
     """
-    d = data.d
+    if d < 2:
+        raise ValueError("degree must be at least 2")
+    if any(m < 1 for m in local_mus):
+        raise ValueError("local Milnor numbers must be positive")
     p_g = d * (d - 1) * (d - 2) // 6
-    mu = (d - 1) ** 3 + sum(data.local_mus)
+    mu = (d - 1) ** 3 + sum(local_mus)
     return p_g, mu
 
 

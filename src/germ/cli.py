@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 computation error, timeout or exceeded work
-ceiling, 2 usage error,
+ceiling, 2 usage error (a malformed or out-of-range argument),
 3 when an ``--expect`` assertion fails.  Machine output is selected
 with ``--json`` or (for sweeps and invariants) ``--csv``, not both;
 JSON carries a ``generated_at`` timestamp unless ``--reproducible`` is
@@ -23,14 +23,13 @@ from dataclasses import fields
 from fractions import Fraction
 
 from . import selftest as selftest_mod
-from .bounds import BOUND_IDS, BoundReport, SuperisolatedData, bound_report, \
-    kerner_nemethi_constant, superisolated_invariants, wahl_tau_min
+from .bounds import BOUND_IDS, BoundReport, bound_report, kerner_nemethi_constant, \
+    superisolated_invariants, wahl_tau_min
 from .corpus import FAMILIES, ReportRow, SweepSpec, evaluate_row, sweep
 from .errors import GermError
 from .invariants import suspend
 from .poly import parse_polynomial
-from .semigroup import (branch_milnor, certify_plane_branch, monomial_curve_equations,
-                        semigroup_from_generators)
+from .semigroup import certify_plane_branch, monomial_curve_equations, semigroup_from_generators
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -187,19 +186,19 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_suspend(args) -> int:
     f = parse_polynomial(args.poly, args.vars)
-    result = suspend(f, args.power)
+    F = suspend(f, args.power)
     base = evaluate_row(0, f, args.timeout)
-    top = evaluate_row(1, result.suspended, args.timeout)
+    top = evaluate_row(1, F, args.timeout)
     payload = {
         "germ": str(f),
-        "suspended": str(result.suspended),
-        "new_variable": result.new_variable,
+        "suspended": str(F),
+        "new_variable": F.vars[-1],
         "power": args.power,
         "base_mu": base.mu, "base_tau": base.tau,
         "mu": top.mu, "tau": top.tau,
     }
     _emit(args, payload, [
-        f"suspended germ: {result.suspended}   (new variable {result.new_variable})",
+        f"suspended germ: {F}   (new variable {F.vars[-1]})",
         f"base: {_mu_tau_text(base)}",
         f"suspension: {_mu_tau_text(top)}",
     ])
@@ -213,6 +212,7 @@ def _cmd_semigroup(args) -> int:
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     cert = certify_plane_branch(s.generators)
+    mu = 2 * s.delta if cert is not None else None
     payload = {
         "generators": list(s.generators),
         "gaps": list(s.gaps),
@@ -226,7 +226,7 @@ def _cmd_semigroup(args) -> int:
             "e": list(cert.e),
             "n": list(cert.n),
             "witnesses": [list(w) for w in cert.witnesses],
-            "mu": branch_milnor(s),
+            "mu": mu,
             "equations": [str(p) for p in eqs.as_polynomials()],
         })
     lines = [f"semigroup <{','.join(str(g) for g in s.generators)}>",
@@ -236,13 +236,12 @@ def _cmd_semigroup(args) -> int:
         lines.append("plane branch: no")
     else:
         lines += [f"plane branch: yes  (e={list(cert.e)}, n={list(cert.n)})",
-                  f"mu = 2*delta = {2 * s.delta}",
+                  f"mu = 2*delta = {mu}",
                   f"monomial curve equations: {payload['equations']}"]
     _emit(args, payload, lines)
     if args.expect:
-        computed = {"delta": s.delta, "conductor": s.conductor,
-                    "mu": 2 * s.delta if cert is not None else None}
-        return _check_expect(args.expect, computed)
+        return _check_expect(args.expect,
+                             {"delta": s.delta, "conductor": s.conductor, "mu": mu})
     return EXIT_OK
 
 
@@ -262,7 +261,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_superisolated(args) -> int:
-    p_g, mu = superisolated_invariants(SuperisolatedData(args.degree, args.local_mus))
+    p_g, mu = superisolated_invariants(args.degree, args.local_mus)
     payload = {"d": args.degree, "local_mus": list(args.local_mus), "p_g": p_g, "mu": mu}
     lines = [f"superisolated d={args.degree}: p_g={p_g}  mu={mu}"]
     if args.tau is not None:
@@ -485,7 +484,8 @@ def main(argv=None) -> int:
         return EXIT_COMPUTE
     except (GermError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        # The package raises ValueError only for an argument it cannot use.
+        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_COMPUTE
 
 
 if __name__ == "__main__":

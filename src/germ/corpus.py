@@ -93,7 +93,7 @@ def generate_corpus(spec: SweepSpec) -> list[Polynomial]:
                 for _ in range(spec.count)]
     if spec.family == "deformed_quasihomogeneous":
         return deformed
-    return [suspend(f, spec.suspension_power).suspended for f in deformed]
+    return [suspend(f, spec.suspension_power) for f in deformed]
 
 
 @dataclass(frozen=True)

@@ -41,12 +41,6 @@ class GermInvariants:
         return None
 
 
-@dataclass(frozen=True)
-class SuspensionResult:
-    suspended: Polynomial
-    new_variable: str
-
-
 def _require_germ(f: Polynomial) -> None:
     if f.is_zero():
         raise NotAGermError("the zero polynomial does not define a hypersurface germ")
@@ -144,8 +138,11 @@ def germ_invariants(f: Polynomial) -> GermInvariants:
     )
 
 
-def suspend(f: Polynomial, k: int = 2) -> SuspensionResult:
-    """Add a power of a fresh variable: ``f + z_new**k`` over the extended ring."""
+def suspend(f: Polynomial, k: int = 2) -> Polynomial:
+    """Add a power of a fresh variable: ``f + z_new**k`` over the extended ring.
+
+    The fresh variable is appended, so it is the result's ``vars[-1]``.
+    """
     if k < 2:
         raise ValueError("suspension power must be at least 2")
     name = "z"
@@ -157,7 +154,7 @@ def suspend(f: Polynomial, k: int = 2) -> SuspensionResult:
     terms = {e + (0,): c for e, c in f.terms.items()}
     exps = (0,) * len(f.vars) + (k,)
     terms[exps] = terms.get(exps, Fraction(0)) + 1
-    return SuspensionResult(Polynomial(new_vars, terms), name)
+    return Polynomial(new_vars, terms)
 
 
 def find_positive_weights(f: Polynomial) -> WeightVector | None:

@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable
 
-from .bounds import (SuperisolatedData, bound_report, kerner_nemethi_constant,
-                     superisolated_invariants, wahl_tau_min)
+from .bounds import (bound_report, kerner_nemethi_constant, superisolated_invariants,
+                     wahl_tau_min)
 from .corpus import SweepSpec, generate_corpus
 from .invariants import GermInvariants, germ_invariants, milnor_number, suspend
 from .jets import jet_quotient_dimension
@@ -92,7 +92,7 @@ def criterion_3(corpus: list[Polynomial], invariants: list[GermInvariants]) -> C
         sample = corpus[:SUSPENSION_SAMPLE]
         assert len(sample) >= SUSPENSION_SAMPLE, f"need at least {SUSPENSION_SAMPLE} germs"
         for f, base in zip(sample, invariants):
-            top = germ_invariants(suspend(f, 2).suspended)
+            top = germ_invariants(suspend(f, 2))
             assert top.mu == base.mu, f"mu changed under suspension for {f}"
             assert top.tau == base.tau, f"tau changed under suspension for {f}"
         return f"{len(sample)} suspensions checked"
@@ -114,7 +114,7 @@ def criterion_4(corpus: list[Polynomial], invariants: list[GermInvariants]) -> C
 def criterion_5(corpus: list[Polynomial], invariants: list[GermInvariants]) -> CriterionResult:
     def body() -> str:
         checked = 0
-        suspensions = [suspend(f, 2).suspended for f in corpus[:8]]
+        suspensions = [suspend(f, 2) for f in corpus[:8]]
         evaluated = chain(zip(corpus, (inv.mu for inv in invariants)),
                           ((g, milnor_number(g)) for g in suspensions))
         for f, mu in evaluated:
@@ -131,7 +131,7 @@ def criterion_5(corpus: list[Polynomial], invariants: list[GermInvariants]) -> C
 
 def criterion_6(corpus: list[Polynomial], invariants: list[GermInvariants]) -> CriterionResult:
     def body() -> str:
-        three_var = [suspend(f, 2).suspended for f in corpus[:25]] + generate_corpus(FERMAT)
+        three_var = [suspend(f, 2) for f in corpus[:25]] + generate_corpus(FERMAT)
         checked = 0
         evaluated = chain(zip(corpus, invariants), ((g, germ_invariants(g)) for g in three_var))
         for f, inv in evaluated:
@@ -202,9 +202,9 @@ def criterion_8() -> CriterionResult:
 
 def criterion_9() -> CriterionResult:
     def body() -> str:
-        p_g, mu = superisolated_invariants(SuperisolatedData(3))
+        p_g, mu = superisolated_invariants(3)
         assert (p_g, mu) == (1, 8), f"(p_g, mu) at d=3: {(p_g, mu)}"
-        p_g, mu = superisolated_invariants(SuperisolatedData(14, (91,)))
+        p_g, mu = superisolated_invariants(14, (91,))
         assert p_g == 364 and mu == BENCHMARK_GERM_MU, f"d=14: p_g={p_g} mu={mu}"
         report = bound_report(BENCHMARK_GERM_MU, BENCHMARK_GERM_TAU, 2, p_g=364)
         assert report.verdicts["dimca_greuel_4_3"].margin < 0, "4/3 not exceeded"

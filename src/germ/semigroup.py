@@ -61,6 +61,16 @@ def minimal_generators(gens: Sequence[int]) -> tuple[int, ...]:
     return tuple(kept)
 
 
+def _minimal_valid(gens: Sequence[int], verb: str) -> tuple[int, ...]:
+    """Validated, minimized ``gens``, with a warning at the public caller when that drops some."""
+    valid = _validate_generators(gens)
+    minimal = minimal_generators(valid)
+    if list(minimal) != valid:
+        warnings.warn(f"generating set {valid} is not minimal; {verb} {list(minimal)}",
+                      stacklevel=3)
+    return minimal
+
+
 @dataclass(frozen=True)
 class NumericalSemigroup:
     """Semigroup data: minimal generators, gaps, delta, conductor.
@@ -86,11 +96,7 @@ def semigroup_from_generators(gens: Sequence[int]) -> NumericalSemigroup:
 
     Non-minimal generating sets are minimized with a warning.
     """
-    valid = _validate_generators(gens)
-    minimal = minimal_generators(valid)
-    if list(minimal) != valid:
-        warnings.warn(f"generating set {valid} is not minimal; using {list(minimal)}",
-                      stacklevel=2)
+    minimal = _minimal_valid(gens, "using")
     a = minimal[0]
     apery = [None] * a
     apery[0] = 0
@@ -166,11 +172,7 @@ def certify_plane_branch(gens: Sequence[int]) -> PlaneBranchCertificate | None:
     ``n_i * beta_i < beta_{i+1}`` for i = 1..g-1 (the clause at i = g
     compares against a generator that does not exist and is vacuous).
     """
-    valid = _validate_generators(gens)
-    beta = list(minimal_generators(valid))
-    if beta != valid:
-        warnings.warn(f"generating set {valid} is not minimal; certifying {beta}",
-                      stacklevel=2)
+    beta = list(_minimal_valid(gens, "certifying"))
     g = len(beta) - 1
     e = [0] * (g + 1)
     e[0] = beta[0]

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from germ import (BOUND_IDS, SuperisolatedData, bound_report,
-                  kerner_nemethi_constant, stirling2, superisolated_invariants,
-                  wahl_tau_min)
+from germ import (BOUND_IDS, bound_report, kerner_nemethi_constant, stirling2,
+                  superisolated_invariants, wahl_tau_min)
 
 
 def test_stirling2_values():
@@ -61,17 +60,17 @@ def test_wahl_ratio_monotone_below_three_halves():
 
 
 def test_superisolated_invariants():
-    assert superisolated_invariants(SuperisolatedData(3)) == (1, 8)
-    assert superisolated_invariants(SuperisolatedData(2)) == (0, 1)
-    p_g, mu = superisolated_invariants(SuperisolatedData(14, (91,)))
+    assert superisolated_invariants(3) == (1, 8)
+    assert superisolated_invariants(2) == (0, 1)
+    p_g, mu = superisolated_invariants(14, (91,))
     assert (p_g, mu) == (364, 2288)
     for d in range(2, 40):
-        p_g, _ = superisolated_invariants(SuperisolatedData(d))
+        p_g, _ = superisolated_invariants(d)
         assert 6 * p_g == d * (d - 1) * (d - 2)
     with pytest.raises(ValueError):
-        SuperisolatedData(1)
+        superisolated_invariants(1)
     with pytest.raises(ValueError):
-        SuperisolatedData(3, (0,))
+        superisolated_invariants(3, (0,))
 
 
 def test_bound_report_catalog_is_complete():

@@ -11,7 +11,7 @@ import pytest
 
 import germ.corpus
 import germ.invariants
-from germ import BOUND_IDS, parse_polynomial
+from germ import BOUND_IDS, bound_report, parse_polynomial
 from germ.cli import main
 
 BENCHMARK_GERM = "x^14+y^6*z^8+z^14+x^9*z^5+(x+y+z)^15"
@@ -101,6 +101,22 @@ def test_usage_error_exits_2(capsys):
         assert code == 2
         assert out == ""
         assert "argument --csv: not allowed with argument --json" in err
+    # an out-of-range value is a usage error too, reported before any output
+    for argv, message in [
+            (["sweep", "--family", "fermat", "--d-max", "3", "--threads", "0"],
+             "thread count must be positive"),
+            (["sweep", "--family", "fermat", "--d-max", "1"], "invalid degree range"),
+            (["suspend", "--vars", "x,y", "--poly", "x^3+y^4", "--power", "1"],
+             "suspension power must be at least 2"),
+            (["superisolated", "--degree", "1"], "degree must be at least 2"),
+            (["semigroup", "--generators", "4,6"], "gcd 2"),
+            (["bounds", "--mu", "5", "--tau", "6", "--n", "2"], "tau=6 exceeds mu=5"),
+            (["constants", "--n", "1", "--r", "1"], "need n >= 2 and r >= 1"),
+            (["tau-min", "--degree", "1"], "degree must be at least 2")]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
 
 def test_suspend_command(capsys):
@@ -228,19 +244,24 @@ def test_sweep_json_deterministic(capsys):
 
 @pytest.mark.parametrize("row_timeouts", [False, True])
 def test_sweep_summary_lists_noted_violations(capsys, monkeypatch, row_timeouts):
-    # With or without row deadlines, a row whose note reports a violation counts.
+    # With or without row deadlines, a row whose note reports a violation
+    # counts, and so does each failing catalog verdict of a row.
     def fake(index, f):
+        if index == 2:
+            return germ.corpus.ReportRow(index, str(f), 1, 4, 2, True, None,
+                                         bound_report(4, 2, 1), 0.0)
         return germ.corpus.ReportRow(index, str(f), 2, 8, 7, True, None, None, 0.0,
                                      note="saito direction violated")
 
     monkeypatch.setattr(germ.corpus, "evaluate_germ", fake)
-    args = ["sweep", "--family", "fermat", "--d-min", "2", "--d-max", "3",
+    args = ["sweep", "--family", "fermat", "--d-min", "2", "--d-max", "4",
             "--json", "--reproducible"]
     args += ["--timeout", "60"] if row_timeouts else ["--threads", "1"]
     code, out, _ = run(capsys, *args)
     assert code == 1
     assert json.loads(out)["summary"]["violations"] == [
-        "row 0: saito direction violated", "row 1: saito direction violated"]
+        "row 0: saito direction violated", "row 1: saito direction violated",
+        "row 2: dimca_greuel_4_3", "row 2: space_branch_quarter"]
 
 
 def test_sweep_timeout_keeps_worker_pool(capsys, monkeypatch):
@@ -418,7 +439,7 @@ def test_timeout_out_of_range_is_a_usage_error(capsys, value):
 def test_timeout_beyond_the_alarm_timer_is_an_error(capsys):
     code, _, err = run(capsys, "sweep", "--family", "fermat", "--d-min", "2",
                        "--d-max", "2", "--timeout", "1e300")
-    assert code == 1
+    assert code == 2
     assert "error:" in err and "Traceback" not in err
 
 

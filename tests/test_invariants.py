@@ -113,19 +113,19 @@ def test_many_variable_germ_reaches_the_algebra():
 
 
 def test_suspension_examples():
-    s = suspend(P("x^3+y^4"), 2)
-    assert s.new_variable == "z"
-    assert str(s.suspended) == "z^2+x^3+y^4"
-    assert s.suspended.vars == ("x", "y", "z")
-    t = suspend(s.suspended, 3)
-    assert t.new_variable == "z1"
+    F = suspend(P("x^3+y^4"), 2)
+    assert F.vars[-1] == "z"
+    assert str(F) == "z^2+x^3+y^4"
+    assert F.vars == ("x", "y", "z")
+    t = suspend(F, 3)
+    assert t.vars[-1] == "z1"
     with pytest.raises(ValueError):
         suspend(P("x^2+y^2"), 1)
 
 
 def test_suspension_restricts_to_base():
     f = P("x^3+y^5-2*x*y^4")
-    s = suspend(f, 2).suspended
+    s = suspend(f, 2)
     restricted = {e[:2]: c for e, c in s.terms.items() if e[2] == 0}
     assert restricted == f.terms
     z_terms = [e for e in s.terms if e[2]]
@@ -135,12 +135,12 @@ def test_suspension_restricts_to_base():
 def test_suspension_preserves_invariants():
     for text in ["x^3+y^4", "x^2*y+y^3", "x^4+y^5-x^2*y^4"]:
         base = germ_invariants(P(text))
-        top = germ_invariants(suspend(P(text), 2).suspended)
+        top = germ_invariants(suspend(P(text), 2))
         assert (base.mu, base.tau) == (top.mu, top.tau)
 
 
 def test_a1_suspension():
-    inv = germ_invariants(suspend(P("x^2+y^2"), 2).suspended)
+    inv = germ_invariants(suspend(P("x^2+y^2"), 2))
     assert inv.mu == 1 and inv.tau == 1
 
 
@@ -170,7 +170,7 @@ def test_saito_direction_on_samples():
 
 def test_liu_bound_on_samples():
     germs = [P("x^3+y^5"), P("x^4+y^4+x^2*y^3"), P("x^6+y^7-3*x^4*y^4")]
-    germs += [suspend(g, 2).suspended for g in germs]
+    germs += [suspend(g, 2) for g in germs]
     for f in germs:
         inv = germ_invariants(f)
         N = inv.germ_dimension + 1

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germ import (EQUAL, GREATER, INFINITE, LESS, LocalOrder, MonomialOverflowError,
-                  Polynomial, extend_standard_basis, mora_normal_form,
-                  parse_polynomial, quotient_codimension, standard_basis, wahl_tau_min)
+                  Polynomial, extend_standard_basis, jet_quotient_dimension,
+                  mora_normal_form, parse_polynomial, quotient_codimension, standard_basis,
+                  wahl_tau_min)
 from germ import localalg
 from germ.errors import ComputationBudgetExceeded
 from germ.localalg import _minimalize, _staircase_of
@@ -368,6 +369,34 @@ def test_cusp_family_agrees_across_precedences(monkeypatch, p, q, r):
         assert all(taken)  # the pre-corner path runs under every precedence
 
 
+def test_coprime_pair_with_cancelling_leading_terms(monkeypatch):
+    # Coprime leading monomials x and y whose second terms x*y and y^2
+    # give the products the same leading monomial x*y^2: the pair is
+    # kept when the leading terms cancel (coefficients 1 and 1) and
+    # skipped when they do not (2 and 1).
+    outcomes = []
+    coprime_skip = localalg._coprime_skip
+
+    def spy(f, g):
+        skip = coprime_skip(f, g)
+        if (not any(x and y for x, y in zip(f.lm_exps, g.lm_exps))
+                and f.lm2 is not None and g.lm2 is not None
+                and f.lm2 + g.lm == g.lm2 + f.lm):
+            outcomes.append(skip)
+        return skip
+
+    monkeypatch.setattr(localalg, "_coprime_skip", spy)
+    vs = ("x", "y", "z")
+    for first, skipped in [("x+x*y+z^4", False), ("x+2*x*y+z^4", True)]:
+        gens = [parse_polynomial(t, vs) for t in (first, "y+y^2+z^3", "z^5")]
+        outcomes.clear()
+        assert quotient_codimension(standard_basis(gens, LocalOrder(vs))) == 5
+        assert skipped in outcomes
+        oracle = jet_quotient_dimension(gens)
+        for prec in itertools.permutations(vs):
+            assert quotient_codimension(standard_basis(gens, LocalOrder(vs, prec))) == oracle
+
+
 def test_budget_charges_coefficient_growth(monkeypatch):
     # Under (y,z,x) one pre-corner s-polynomial of the paper's germ is
     # reduced again and again by its own snapshots, which double its
@@ -573,7 +602,6 @@ def test_codimension_in_many_variables(nvars):
 
 
 def test_codimension_matches_jet_oracle_on_small_ideals():
-    from germ import jet_quotient_dimension
     cases = [[P("x^2+y^3"), P("x*y")],
              [P("x^3-y^3"), P("x*y^2+y^4")],
              [P("x^4+y^4+x*y^3"), P("2*x^3+y^3")]]

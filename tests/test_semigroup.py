@@ -68,10 +68,15 @@ def test_semigroup_validation():
 
 
 def test_non_minimal_generators_warn_and_minimize():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         s = semigroup_from_generators([4, 6, 13, 10])
-    assert s.generators == (4, 6, 13)
+        cert = certify_plane_branch([4, 6, 13, 10])
+    assert s.generators == cert.generators == (4, 6, 13)
     assert minimal_generators([2, 3, 4, 5]) == (2, 3)
+    # each warning names its own verb and points at this caller
+    assert [str(w.message).rsplit("; ", 1)[1] for w in caught] == [
+        "using [4, 6, 13]", "certifying [4, 6, 13]"]
+    assert {w.filename for w in caught} == {__file__}
 
 
 def test_membership_scales_with_a_large_generator():
