@@ -18,9 +18,8 @@ from .localalg import (GREATER, INFINITE, LESS, EQUAL, LocalOrder, StandardBasis
                        extend_standard_basis, mora_normal_form, quotient_codimension,
                        standard_basis)
 from .poly import Monomial, Polynomial, parse_polynomial
-from .semigroup import (MonomialCurveEquations, NumericalSemigroup,
-                        PlaneBranchCertificate, branch_milnor, certify_plane_branch,
-                        minimal_generators, monomial_curve_equations,
+from .semigroup import (NumericalSemigroup, PlaneBranchCertificate, branch_milnor,
+                        certify_plane_branch, minimal_generators, monomial_curve_equations,
                         semigroup_from_generators)
 
 __version__ = "0.1.0"
@@ -37,7 +36,7 @@ __all__ = [
     "GREATER", "INFINITE", "LESS", "EQUAL", "LocalOrder", "StandardBasis",
     "extend_standard_basis", "mora_normal_form", "quotient_codimension", "standard_basis",
     "Monomial", "Polynomial", "parse_polynomial",
-    "MonomialCurveEquations", "NumericalSemigroup", "PlaneBranchCertificate",
+    "NumericalSemigroup", "PlaneBranchCertificate",
     "branch_milnor", "certify_plane_branch", "minimal_generators",
     "monomial_curve_equations", "semigroup_from_generators",
 ]

@@ -29,7 +29,7 @@ from .corpus import FAMILIES, ReportRow, SweepSpec, evaluate_row, sweep
 from .errors import GermError
 from .invariants import suspend
 from .poly import parse_polynomial
-from .semigroup import certify_plane_branch, monomial_curve_equations, semigroup_from_generators
+from .semigroup import branch_milnor, certify_plane_branch, semigroup_from_generators
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -212,7 +212,7 @@ def _cmd_semigroup(args) -> int:
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     cert = certify_plane_branch(s.generators)
-    mu = 2 * s.delta if cert is not None else None
+    mu = branch_milnor(s) if cert is not None else None
     payload = {
         "generators": list(s.generators),
         "gaps": list(s.gaps),
@@ -221,13 +221,12 @@ def _cmd_semigroup(args) -> int:
         "plane_branch": cert is not None,
     }
     if cert is not None:
-        eqs = monomial_curve_equations(cert, s.generators)
         payload.update({
             "e": list(cert.e),
             "n": list(cert.n),
             "witnesses": [list(w) for w in cert.witnesses],
             "mu": mu,
-            "equations": [str(p) for p in eqs.as_polynomials()],
+            "equations": [str(p) for p in cert.as_polynomials()],
         })
     lines = [f"semigroup <{','.join(str(g) for g in s.generators)}>",
              f"gaps: {list(s.gaps)}",

@@ -195,8 +195,8 @@ class SweepResult:
 def sweep(spec: SweepSpec, threads: int = 1, timeout: float | None = None) -> SweepResult:
     """Evaluate a whole corpus; deterministic under a fixed seed.
 
-    ``threads`` caps the number of worker processes; rows keep corpus
-    order regardless.
+    ``threads`` caps the number of worker processes, which take rows in
+    batches; rows keep corpus order regardless.
     ``timeout`` is a per-row deadline in seconds, enforced in whichever
     process evaluates the row; a row that misses it is reported with
     the note ``timeout``.
@@ -207,7 +207,8 @@ def sweep(spec: SweepSpec, threads: int = 1, timeout: float | None = None) -> Sw
     jobs = (range(len(germs)), germs, [timeout] * len(germs))
     if threads > 1 and len(germs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate_row, *jobs))
+            rows = list(pool.map(evaluate_row, *jobs,
+                                 chunksize=max(1, len(germs) // (32 * threads))))
     else:
         rows = list(map(evaluate_row, *jobs))
     return summarize(spec, rows)

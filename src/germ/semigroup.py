@@ -128,12 +128,35 @@ class PlaneBranchCertificate:
     for i >= 1, and ``witnesses[i-1]`` expresses ``n[i]*generators[i]``
     over the earlier generators in canonical form (every coordinate of
     index >= 1 below the matching n).
+
+    The witnesses are the exponents of the monomial curve's binomials
+    ``u_i**n_i - prod_j u_j**l_j`` (i = 1..g), killed by ``u_j -> t**beta_j``.
     """
 
     generators: tuple[int, ...]
     e: tuple[int, ...]
     n: tuple[int, ...]
     witnesses: tuple[tuple[int, ...], ...]
+
+    @property
+    def relations(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        return tuple(zip(self.n, self.witnesses))
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return tuple(f"u{i}" for i in range(len(self.generators)))
+
+    def as_polynomials(self) -> list[Polynomial]:
+        out = []
+        nvars = len(self.generators)
+        for i, (power, exps) in enumerate(self.relations, start=1):
+            lead = tuple(power if j == i else 0 for j in range(nvars))
+            tail = tuple(exps) + (0,) * (nvars - len(exps))
+            out.append(Polynomial(self.variables, {lead: 1, tail: -1}))
+        return out
+
+    def __str__(self) -> str:
+        return ", ".join(str(p) for p in self.as_polynomials())
 
 
 def _canonical_witness(beta: Sequence[int], e: Sequence[int], n: Sequence[int],
@@ -172,7 +195,11 @@ def certify_plane_branch(gens: Sequence[int]) -> PlaneBranchCertificate | None:
     ``n_i * beta_i < beta_{i+1}`` for i = 1..g-1 (the clause at i = g
     compares against a generator that does not exist and is vacuous).
     """
-    beta = list(_minimal_valid(gens, "certifying"))
+    return _certify(_minimal_valid(gens, "certifying"))
+
+
+def _certify(beta: Sequence[int]) -> PlaneBranchCertificate | None:
+    """``certify_plane_branch`` on generators already validated and minimal."""
     g = len(beta) - 1
     e = [0] * (g + 1)
     e[0] = beta[0]
@@ -188,6 +215,7 @@ def certify_plane_branch(gens: Sequence[int]) -> PlaneBranchCertificate | None:
         w = _canonical_witness(beta, e, n, i)
         if w is None:
             return None
+        assert n[i] * beta[i] == sum(l * b for l, b in zip(w, beta))
         witnesses.append(w)
     for i in range(1, g):
         if not n[i] * beta[i] < beta[i + 1]:
@@ -202,49 +230,17 @@ def certify_plane_branch(gens: Sequence[int]) -> PlaneBranchCertificate | None:
 
 def branch_milnor(s: NumericalSemigroup) -> int:
     """Milnor number ``2 * delta`` of a plane branch with semigroup ``s``."""
-    if certify_plane_branch(s.generators) is None:
+    if _certify(s.generators) is None:
         raise NotPlaneBranchError(f"{s.generators} is not the semigroup of a plane branch")
     return 2 * s.delta
 
 
-@dataclass(frozen=True)
-class MonomialCurveEquations:
-    """Binomial equations of the monomial curve of a plane branch.
-
-    Relation i (for i = 1..g) is ``u_i**n_i - prod_j u_j**l_j`` with the
-    canonical exponents from the certificate; substituting
-    ``u_j -> t**beta_j`` kills every relation identically.
-    """
-
-    generators: tuple[int, ...]
-    relations: tuple[tuple[int, tuple[int, ...]], ...]
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(f"u{i}" for i in range(len(self.generators)))
-
-    def as_polynomials(self) -> list[Polynomial]:
-        out = []
-        nvars = len(self.generators)
-        for i, (power, exps) in enumerate(self.relations, start=1):
-            lead = tuple(power if j == i else 0 for j in range(nvars))
-            tail = tuple(exps) + (0,) * (nvars - len(exps))
-            out.append(Polynomial(self.variables, {lead: 1, tail: -1}))
-        return out
-
-    def __str__(self) -> str:
-        return ", ".join(str(p) for p in self.as_polynomials())
-
-
 def monomial_curve_equations(cert: PlaneBranchCertificate,
-                             gens: Sequence[int]) -> MonomialCurveEquations:
-    """Equations of the monomial curve attached to a certified semigroup."""
-    beta = tuple(minimal_generators(_validate_generators(gens)))
+                             gens: Sequence[int]) -> PlaneBranchCertificate:
+    """``cert``, whose relations cut out the curve; ``ValueError`` if ``gens`` differ."""
+    beta = tuple(_validate_generators(gens))
+    if beta != cert.generators:
+        beta = minimal_generators(beta)
     if beta != cert.generators:
         raise ValueError("certificate does not match the generators")
-    relations = []
-    for i, (power, witness) in enumerate(zip(cert.n, cert.witnesses), start=1):
-        assert power * beta[i] == sum(l * b for l, b in zip(witness, beta))
-        relations.append((power, witness))
-    return MonomialCurveEquations(beta, tuple(relations))
-
+    return cert

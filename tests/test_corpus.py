@@ -104,11 +104,13 @@ def test_rows_are_ordered_and_timed():
 
 
 def test_parallel_sweep_matches_serial():
-    spec = SweepSpec(family="deformed_quasihomogeneous", seed=5, count=8)
-    serial = sweep(spec, threads=1)
-    parallel = sweep(spec, threads=2)
     strip = lambda rows: [(r.index, r.germ, r.mu, r.tau) for r in rows]
-    assert strip(serial.rows) == strip(parallel.rows)
+    for count in (8, 200):  # 200 germs reach the workers in batches of 3 rows
+        spec = SweepSpec(family="deformed_quasihomogeneous", seed=5, count=count)
+        serial = sweep(spec, threads=1)
+        parallel = sweep(spec, threads=2)
+        assert len(serial.rows) == count
+        assert strip(serial.rows) == strip(parallel.rows)
 
 
 def test_sweep_rejects_zero_threads():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import germ.semigroup
 from germ import (NotPlaneBranchError, bound_report, branch_milnor,
                   certify_plane_branch, milnor_number, minimal_generators,
                   monomial_curve_equations, parse_polynomial,
@@ -181,6 +182,38 @@ def test_monomial_curve_equations_examples():
     assert [str(p) for p in eqs.as_polynomials()] == ["u1^2-u0^3", "u2^2-u0^5*u1"]
     cert = certify_plane_branch([3, 7])
     assert str(monomial_curve_equations(cert, [3, 7])) == "u1^3-u0^7"
+
+
+def test_certificate_carries_the_monomial_curve():
+    cert = certify_plane_branch([4, 6, 13])
+    assert str(cert) == "u1^2-u0^3, u2^2-u0^5*u1"
+    assert cert.relations == ((2, (3,)), (2, (5, 1)))
+    assert cert.variables == ("u0", "u1", "u2")
+
+
+def test_monomial_curve_equations_checks_the_generators():
+    cert = certify_plane_branch([4, 6, 13])
+    # a non-minimal set of the same semigroup is accepted
+    assert monomial_curve_equations(cert, [4, 6, 13, 10]) == cert
+    with pytest.raises(ValueError, match="does not match"):
+        monomial_curve_equations(cert, [4, 6, 15])
+
+
+def test_plane_branch_chain_minimizes_at_most_twice(monkeypatch):
+    calls = []
+    real = germ.semigroup.minimal_generators
+
+    def spy(gens):
+        calls.append(tuple(gens))
+        return real(gens)
+
+    monkeypatch.setattr(germ.semigroup, "minimal_generators", spy)
+    gens = [4, 6, 13]
+    s = semigroup_from_generators(gens)
+    cert = certify_plane_branch(gens)
+    assert str(monomial_curve_equations(cert, gens)) == "u1^2-u0^3, u2^2-u0^5*u1"
+    assert branch_milnor(s) == 16
+    assert len(calls) <= 2, calls
 
 
 def test_equations_vanish_under_parameterization():
