@@ -29,7 +29,7 @@ from .corpus import FAMILIES, ReportRow, SweepSpec, evaluate_row, sweep
 from .errors import GermError
 from .invariants import suspend
 from .poly import parse_polynomial
-from .semigroup import branch_milnor, certify_plane_branch, semigroup_from_generators
+from .semigroup import certify_plane_branch, semigroup_from_generators
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -212,7 +212,7 @@ def _cmd_semigroup(args) -> int:
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     cert = certify_plane_branch(s.generators)
-    mu = branch_milnor(s) if cert is not None else None
+    mu = 2 * s.delta if cert is not None else None  # branch_milnor(s), not certified again
     payload = {
         "generators": list(s.generators),
         "gaps": list(s.gaps),

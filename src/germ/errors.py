@@ -30,7 +30,18 @@ class MonomialOverflowError(GermError):
 
 
 class ComputationBudgetExceeded(GermError):
-    """A standard-basis run went past its deterministic work budget."""
+    """A standard-basis run went past its deterministic work budget.
+
+    ``pairs_left`` is the number of s-pairs the run still had queued
+    when it stopped, or None when the error does not come from a run
+    (the precedence portfolio giving up at its ceiling).  The portfolio
+    tries the precedences that left the fewest pairs first in its next
+    round.
+    """
+
+    def __init__(self, message: str, pairs_left: int | None = None):
+        super().__init__(message)
+        self.pairs_left = pairs_left
 
 
 class NotAGermError(GermError):

@@ -471,6 +471,10 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
     from it; the staircase recursion runs only at the first
     certification and when the layer empties.  Records are truncated at
     each new corner and made primitive again.
+
+    A run that goes past ``step_limit`` raises
+    :class:`ComputationBudgetExceeded` with ``pairs_left`` set to the
+    number of s-pairs still queued.
     """
     shift = order._deg_shift
     guard = order._guard
@@ -535,8 +539,12 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
                     break
         if skip:
             continue
-        rem = _reduce(_spoly(fi, gj, lcm_code, order, corner_code), records, order,
-                      corner_code, work, step_limit)
+        try:
+            rem = _reduce(_spoly(fi, gj, lcm_code, order, corner_code), records, order,
+                          corner_code, work, step_limit)
+        except ComputationBudgetExceeded as exc:
+            exc.pairs_left = len(heap)
+            raise
         if rem:
             records.append(_make_rec(rem, order, with_pair_data=True))
             push_pairs(len(records) - 1)

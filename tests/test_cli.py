@@ -11,6 +11,7 @@ import pytest
 
 import germ.corpus
 import germ.invariants
+import germ.semigroup
 from germ import BOUND_IDS, bound_report, parse_polynomial
 from germ.cli import main
 
@@ -138,6 +139,20 @@ def test_semigroup_command(capsys):
     assert data["plane_branch"] is True
     assert data["delta"] == 8 and data["conductor"] == 16 and data["mu"] == 16
     assert data["equations"] == ["u1^2-u0^3", "u2^2-u0^5*u1"]
+
+
+def test_semigroup_command_certifies_once(capsys, monkeypatch):
+    calls = []
+    real = germ.semigroup._certify
+
+    def spy(beta):
+        calls.append(tuple(beta))
+        return real(beta)
+
+    monkeypatch.setattr(germ.semigroup, "_certify", spy)
+    code, out, _ = run(capsys, "semigroup", "--generators", "4,6,13")
+    assert code == 0 and "mu = 2*delta = 16" in out
+    assert calls == [(4, 6, 13)]
 
 
 def test_non_minimal_generators_print_one_warning_line(capsys):

@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+import germ.invariants
 from germ import (INFINITE, NotAGermError, Polynomial, find_positive_weights,
                   germ_invariants, jet_quotient_dimension, milnor_number,
                   parse_polynomial, suspend, tjurina_number)
-from germ.invariants import _candidate_precedences
+from germ.errors import ComputationBudgetExceeded
+from germ.invariants import _candidate_precedences, jacobian_basis
 
 V2 = ("x", "y")
 
@@ -102,6 +104,76 @@ def test_candidate_precedences():
         ("y", "z", "x"), ("z", "x", "y"), ("z", "y", "x")]
     assert _candidate_precedences(("z", "y", "x"))[:3] == [
         ("z", "y", "x"), ("x", "y", "z"), ("x", "z", "y")]
+    # Past 4 variables only 24 candidates are kept: the ring's own order
+    # and the 23 smallest others, here all but the last one led by "a".
+    ring = ("e", "d", "c", "b", "a")
+    five = _candidate_precedences(ring)
+    assert five[:3] == [ring, ("a", "b", "c", "d", "e"), ("a", "b", "c", "e", "d")]
+    assert len(set(five)) == 24 and all(p[0] == "a" for p in five[1:])
+    assert ("a", "e", "d", "c", "b") not in five
+
+
+PAPER_GERM = "x^14+y^6*z^8+z^14+x^9*z^5+(x+y+z)^15"
+
+
+def _spy_attempts(monkeypatch, outcome=None):
+    """Record ``(precedence, budget, pairs left or "ok")`` per portfolio attempt.
+
+    ``outcome(precedence, budget)``, when given, replaces the run: it
+    returns the pairs left for the budget error it raises.
+    """
+    attempts = []
+    real = germ.invariants.standard_basis
+
+    def spy(gens, order, step_limit=None):
+        try:
+            if outcome is not None:
+                raise ComputationBudgetExceeded(
+                    "stub", outcome(order.precedence, step_limit))
+            basis = real(gens, order, step_limit=step_limit)
+        except ComputationBudgetExceeded as exc:
+            attempts.append((order.precedence, step_limit, exc.pairs_left))
+            raise
+        attempts.append((order.precedence, step_limit, "ok"))
+        return basis
+
+    monkeypatch.setattr(germ.invariants, "standard_basis", spy)
+    return attempts
+
+
+def test_portfolio_attempts_on_the_paper_germ_are_pinned(monkeypatch):
+    # Round 0 runs every precedence at 250k units in candidate order,
+    # each raising with the s-pairs its run left queued; round 1 opens
+    # with the fewest, (y,x,z), which finishes within 1M units: 7
+    # attempts, where the fixed candidate order made 9.
+    attempts = _spy_attempts(monkeypatch)
+    ring = ("x", "y", "z")
+    jac = jacobian_basis(P(PAPER_GERM, ring))
+    assert attempts == [
+        (("x", "y", "z"), 250_000, 208), (("x", "z", "y"), 250_000, 155),
+        (("y", "x", "z"), 250_000, 24), (("y", "z", "x"), 250_000, 86),
+        (("z", "x", "y"), 250_000, 175), (("z", "y", "x"), 250_000, 180),
+        (("y", "x", "z"), 1_000_000, "ok")]
+    assert jac.order.precedence == ("y", "x", "z")
+
+
+def test_portfolio_ranks_rounds_by_pairs_left_and_keeps_ties(monkeypatch):
+    left = {("x", "y", "z"): 5, ("x", "z", "y"): 3, ("y", "x", "z"): 5,
+            ("y", "z", "x"): 3, ("z", "x", "y"): 1, ("z", "y", "x"): 5}
+    # Distinct counts in round 0, equal ones from round 1 on.
+    attempts = _spy_attempts(
+        monkeypatch, lambda prec, budget: left[prec] if budget == 250_000 else 7)
+    monkeypatch.setattr(germ.invariants, "_BUDGET_CEILING", 4_000_000)
+    with pytest.raises(ComputationBudgetExceeded, match="within 4000000") as info:
+        jacobian_basis(P("x^2+y^3+z^4", ("x", "y", "z")))
+    assert info.value.pairs_left is None
+    rounds = [[p for p, b, _ in attempts if b == budget]
+              for budget in (250_000, 1_000_000, 4_000_000)]
+    assert rounds[0] == _candidate_precedences(("x", "y", "z"))
+    assert rounds[1] == [("z", "x", "y"), ("x", "z", "y"), ("y", "z", "x"),
+                         ("x", "y", "z"), ("y", "x", "z"), ("z", "y", "x")]
+    assert rounds[2] == rounds[1]
+    assert len(attempts) == 18
 
 
 def test_many_variable_germ_reaches_the_algebra():
