@@ -60,10 +60,10 @@ def _candidate_precedences(vars: tuple[str, ...]) -> list[tuple[str, ...]]:
     return [vars, *itertools.islice(others, 23)]
 
 
-_BUDGET_START = 250_000
-#: Budget of the last portfolio round.  The paper's germ wins at 1M work
-#: units, the superisolated ladder and every sweep germ at 250k.
-_BUDGET_CEILING = 16_000_000
+#: Work-unit budget of each portfolio round.  Round 0 is a cheap probe
+#: that ranks the precedences: the ladder and every sweep germ finish
+#: in it, and the paper's germ wins at 1M units.
+_BUDGETS = (15_625, 1_000_000, 4_000_000, 16_000_000)
 
 
 def _portfolio_basis(gens: list[Polynomial], vars: tuple[str, ...]) -> StandardBasis:
@@ -71,34 +71,30 @@ def _portfolio_basis(gens: list[Polynomial], vars: tuple[str, ...]) -> StandardB
 
     Every precedence yields the same quotient codimensions, but the
     staircase shape (and with it the cost of the completion) varies
-    wildly between them.  The precedences are tried in rounds under a
-    deterministic step budget that escalates geometrically.  Round 0
-    follows :func:`_candidate_precedences`; each later round takes them
-    in ascending order of the s-pairs their run left queued when it ran
+    wildly between them.  The precedences are tried in rounds, one per
+    deterministic step budget of :data:`_BUDGETS`.  Round 0 follows
+    :func:`_candidate_precedences`; each later round takes them in
+    ascending order of the s-pairs their run left queued when it ran
     out of budget in the round before, ties keeping the previous order.
     Fewer pairs left means a run nearer its end: on the paper's germ the
-    winner (y,x,z) leaves 24 at 250k units and the other five 86 to 228
+    winner (y,x,z) leaves 43 at 15,625 units and the other five 61 to 92
     in every ring order.  Runs restart at the larger budget rather than
     resume, so failed runs hold no memory.  Every step is deterministic,
     so the returned basis, and everything derived from it, is
-    reproducible.  When every precedence fails at
-    :data:`_BUDGET_CEILING`, the germ is left undecided with
-    :class:`ComputationBudgetExceeded`.
+    reproducible.  When every precedence fails the last budget, the germ
+    is left undecided with :class:`ComputationBudgetExceeded`.
     """
     orders = [LocalOrder(vars, p) for p in _candidate_precedences(vars)]
-    budget = _BUDGET_START
-    while True:
+    for budget in _BUDGETS:
         failed = []
         for order in orders:
             try:
                 return standard_basis(gens, order, step_limit=budget)
             except ComputationBudgetExceeded as exc:
                 failed.append((exc.pairs_left, order))
-        if budget >= _BUDGET_CEILING:
-            raise ComputationBudgetExceeded(
-                f"no variable precedence finished within {budget} work units")
         orders = [order for _, order in sorted(failed, key=lambda f: f[0])]  # stable
-        budget *= 4
+    raise ComputationBudgetExceeded(
+        f"no variable precedence finished within {_BUDGETS[-1]} work units")
 
 
 def jacobian_basis(f: Polynomial) -> StandardBasis:

@@ -424,7 +424,7 @@ def test_germ_past_the_work_ceiling_is_undecided(capsys, monkeypatch):
     assert data["note"] == "budget exceeded"
     # Text output never calls it infinite; the first round's ceiling
     # reaches the same verdict in a fraction of the time.
-    monkeypatch.setattr(germ.invariants, "_BUDGET_CEILING", germ.invariants._BUDGET_START)
+    monkeypatch.setattr(germ.invariants, "_BUDGETS", germ.invariants._BUDGETS[:1])
     code, out, err = run(capsys, "invariants", "--vars", "x,y", "--poly", NON_ISOLATED_CURVE)
     assert code == 1
     assert "budget exceeded" in out and "budget exceeded" in err

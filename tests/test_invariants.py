@@ -5,8 +5,8 @@ import math
 import pytest
 
 import germ.invariants
-from germ import (INFINITE, NotAGermError, Polynomial, find_positive_weights,
-                  germ_invariants, jet_quotient_dimension, milnor_number,
+from germ import (INFINITE, NotAGermError, Polynomial, SweepSpec, find_positive_weights,
+                  generate_corpus, germ_invariants, jet_quotient_dimension, milnor_number,
                   parse_polynomial, suspend, tjurina_number)
 from germ.errors import ComputationBudgetExceeded
 from germ.invariants import _candidate_precedences, jacobian_basis
@@ -142,17 +142,17 @@ def _spy_attempts(monkeypatch, outcome=None):
 
 
 def test_portfolio_attempts_on_the_paper_germ_are_pinned(monkeypatch):
-    # Round 0 runs every precedence at 250k units in candidate order,
-    # each raising with the s-pairs its run left queued; round 1 opens
-    # with the fewest, (y,x,z), which finishes within 1M units: 7
-    # attempts, where the fixed candidate order made 9.
+    # Round 0 probes every precedence at 15,625 units in candidate
+    # order, each raising with the s-pairs its run left queued; round 1
+    # opens with the fewest, (y,x,z), which finishes within 1M units:
+    # 7 attempts, six of them cheap probes.
     attempts = _spy_attempts(monkeypatch)
     ring = ("x", "y", "z")
     jac = jacobian_basis(P(PAPER_GERM, ring))
     assert attempts == [
-        (("x", "y", "z"), 250_000, 208), (("x", "z", "y"), 250_000, 155),
-        (("y", "x", "z"), 250_000, 24), (("y", "z", "x"), 250_000, 86),
-        (("z", "x", "y"), 250_000, 175), (("z", "y", "x"), 250_000, 180),
+        (("x", "y", "z"), 15_625, 92), (("x", "z", "y"), 15_625, 61),
+        (("y", "x", "z"), 15_625, 43), (("y", "z", "x"), 15_625, 70),
+        (("z", "x", "y"), 15_625, 72), (("z", "y", "x"), 15_625, 87),
         (("y", "x", "z"), 1_000_000, "ok")]
     assert jac.order.precedence == ("y", "x", "z")
 
@@ -160,20 +160,37 @@ def test_portfolio_attempts_on_the_paper_germ_are_pinned(monkeypatch):
 def test_portfolio_ranks_rounds_by_pairs_left_and_keeps_ties(monkeypatch):
     left = {("x", "y", "z"): 5, ("x", "z", "y"): 3, ("y", "x", "z"): 5,
             ("y", "z", "x"): 3, ("z", "x", "y"): 1, ("z", "y", "x"): 5}
+    budgets = germ.invariants._BUDGETS[:3]
     # Distinct counts in round 0, equal ones from round 1 on.
     attempts = _spy_attempts(
-        monkeypatch, lambda prec, budget: left[prec] if budget == 250_000 else 7)
-    monkeypatch.setattr(germ.invariants, "_BUDGET_CEILING", 4_000_000)
-    with pytest.raises(ComputationBudgetExceeded, match="within 4000000") as info:
+        monkeypatch, lambda prec, budget: left[prec] if budget == budgets[0] else 7)
+    monkeypatch.setattr(germ.invariants, "_BUDGETS", budgets)
+    with pytest.raises(ComputationBudgetExceeded, match=f"within {budgets[-1]} ") as info:
         jacobian_basis(P("x^2+y^3+z^4", ("x", "y", "z")))
     assert info.value.pairs_left is None
-    rounds = [[p for p, b, _ in attempts if b == budget]
-              for budget in (250_000, 1_000_000, 4_000_000)]
+    rounds = [[p for p, b, _ in attempts if b == budget] for budget in budgets]
     assert rounds[0] == _candidate_precedences(("x", "y", "z"))
     assert rounds[1] == [("z", "x", "y"), ("x", "z", "y"), ("y", "z", "x"),
                          ("x", "y", "z"), ("y", "x", "z"), ("z", "y", "x")]
     assert rounds[2] == rounds[1]
     assert len(attempts) == 18
+
+
+@pytest.mark.parametrize("germs", [
+    [P(f"x^{d}+y^{d}+z^{d}+(x+y+z)^{d + 1}", ("x", "y", "z")) for d in range(10, 13)],
+    generate_corpus(SweepSpec("deformed_quasihomogeneous", seed=3, a_max=12, b_max=12,
+                              count=40)),
+    generate_corpus(SweepSpec("suspension", seed=3, a_max=12, b_max=12, count=40)),
+], ids=["ladder", "deformed", "suspension"])
+def test_cheap_germs_finish_in_the_probe_round(monkeypatch, germs):
+    # The superisolated ladder and the sweep families need at most a few
+    # hundred work units, so the first attempt of round 0 (the ring's own
+    # order at the probe budget) is their only one.
+    attempts = _spy_attempts(monkeypatch)
+    for f in germs:
+        attempts.clear()
+        jacobian_basis(f)
+        assert attempts == [(f.vars, germ.invariants._BUDGETS[0], "ok")], str(f)
 
 
 def test_many_variable_germ_reaches_the_algebra():
