@@ -15,7 +15,8 @@ the input to the final :class:`StandardBasis`; a warm start reuses them,
 and they become ``Polynomial`` objects only when ``generators`` is first
 read.  An active remainder is an integer vector with one exact rational
 scale (fraction-free reduction with lazy content removal), so every
-verdict is exact.
+verdict is exact.  Once the leading ideal has a finite staircase, every
+term smaller than its highest corner lies in the ideal and is dropped.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from math import gcd
 from typing import Sequence
 
 from .errors import ComputationBudgetExceeded, MonomialOverflowError
-from .poly import Monomial, Polynomial
+from .poly import _MAX_EXPONENT, Monomial, Polynomial
 
-_FIELD_BITS = 16
-_MAX_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1
+_FIELD_BITS = _MAX_EXPONENT.bit_length() + 1  # one guard bit per field
 
 #: Return value of :func:`quotient_codimension` for non-isolated input.
 INFINITE = math.inf
@@ -120,12 +120,13 @@ class LocalOrder:
 class _Rec:
     """A reducer: leading term, tail, and cached order data."""
 
-    __slots__ = ("lm", "lc", "tail", "ecart", "lm_exps", "lm2", "lc2")
+    __slots__ = ("lm", "lc", "tail", "last", "ecart", "lm_exps", "lm2", "lc2")
 
-    def __init__(self, lm, lc, tail, ecart, lm_exps=None, lm2=None, lc2=None):
+    def __init__(self, lm, lc, tail, last, ecart, lm_exps=None, lm2=None, lc2=None):
         self.lm = lm
         self.lc = lc
         self.tail = tail          # terms without the leading one
+        self.last = last          # largest code of the terms: the smallest monomial
         self.ecart = ecart
         self.lm_exps = lm_exps
         self.lm2 = lm2
@@ -179,9 +180,9 @@ def _decode_poly(terms: dict, order: LocalOrder) -> Polynomial:
 def _make_rec(terms: dict, order: LocalOrder, with_pair_data: bool = False) -> _Rec:
     shift = order._deg_shift
     lm = min(terms)
-    ecart = (max(terms) >> shift) - (lm >> shift)
+    last = max(terms)
     tail = {k: c for k, c in terms.items() if k != lm}
-    rec = _Rec(lm, terms[lm], tail, ecart)
+    rec = _Rec(lm, terms[lm], tail, last, (last >> shift) - (lm >> shift))
     if with_pair_data:
         rec.lm_exps = order.decode(lm)
         if tail:
@@ -196,7 +197,7 @@ def _beyond_codes(order: LocalOrder) -> int:
     Each exponent field holds less than ``2**_FIELD_BITS`` even after
     adding two in-range monomials, so every degree stays below
     ``nvars << _FIELD_BITS``; the code is the truncation bound used
-    while no corner degree is certified.
+    while no corner is certified.
     """
     return (order.nvars << _FIELD_BITS) << order._deg_shift
 
@@ -350,12 +351,15 @@ def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
 
     Returns the remainder as a primitive integer vector, empty when
     ``h`` reduced to zero; terms at or above ``corner_code`` are
-    dropped.  Reducers from ``records`` are scanned first, then the
-    snapshots of this reduction, earliest first and minimal ecart
-    winning.  Snapshots are taken only while ``corner_code`` is the
-    :func:`_beyond_codes` bound: they are Mora's device for termination.
-    Below a certified corner only finitely many monomials remain and
-    every step lowers the leading one, so plain reduction terminates.
+    dropped.  Past a certified corner that code is one past the packed
+    code of the highest corner, so every dropped term is a monomial
+    smaller than the corner and lies in the ideal.  Reducers from
+    ``records`` are scanned first, then the snapshots of this
+    reduction, earliest first and minimal ecart winning.  Snapshots are
+    taken only while ``corner_code`` is the :func:`_beyond_codes` bound:
+    they are Mora's device for termination.  Below a certified corner
+    only finitely many monomials remain and every step lowers the
+    leading one, so plain reduction terminates.
 
     The reduction is fraction-free: the active remainder is the integer
     vector ``h`` times the rational scale ``sn/sd``.  A step by a reducer
@@ -368,7 +372,7 @@ def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
     than 64 bits since the last move (lazy content removal, as in Greuel-Pfister, *A
     Singular Introduction to Commutative Algebra*).  The integers then
     stay about as long as the numerators and denominators of the
-    rational remainder: at most 971 against 927 bits in the warm
+    rational remainder: at most 773 against 717 bits in the warm
     Tjurina run of the paper's germ under (y,x,z), and 1,204 against
     803 bits over its six 1M-unit Jacobian attempts.
     """
@@ -456,33 +460,36 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
     Pairs among ``records[:start_pairs_from]`` are assumed to reduce to
     zero already (warm start).
 
-    As soon as the current leading terms certify that all monomials of
-    some degree lie in the ideal, every later computation is truncated
-    at that degree (and the bound keeps improving as the basis grows);
-    work at or beyond the bound reduces to zero for free.  Mora's ecart
-    snapshots are taken only until that corner is certified: below it
-    the monomials are finitely many, so plain reduction terminates.  A
-    warm start from a basis with a corner never takes one.
+    As soon as the current leading terms have a finite staircase, every
+    later computation is truncated at its highest corner, the smallest
+    monomial outside the leading ideal (``corner_code`` is one past its
+    packed code; the bound keeps improving as the basis grows).  Every
+    smaller monomial lies in the leading ideal, hence in the ideal
+    itself (Greuel-Pfister, *A Singular Introduction to Commutative
+    Algebra*, sec. 1.7; Singular's ``kNoether``), so work at or beyond
+    the bound reduces to zero for free.  Mora's ecart snapshots are
+    taken only until a corner is certified: below it the monomials are
+    finitely many, so plain reduction terminates.  A warm start from a
+    basis with a corner never takes one.
 
-    The corner degree ``c`` drops only when every monomial of degree
-    ``c-1`` lies in the leading ideal.  So the completion keeps the
-    staircase's top layer, the degree ``c-1`` monomials still outside
-    the ideal, and removes the multiples of each new leading monomial
-    from it; the staircase recursion runs only at the first
-    certification and when the layer empties.  Records are truncated at
-    each new corner and made primitive again.
+    The highest corner is the largest code in the staircase's top
+    layer, its monomials of largest degree.  The completion keeps that
+    layer and removes the multiples of each new leading monomial from
+    it; the staircase recursion runs only at the first certification
+    and when the layer empties.  Whenever the corner moves, the records
+    whose smallest monomial lies at or beyond it are truncated and made
+    primitive again.
 
     A run that goes past ``step_limit`` raises
     :class:`ComputationBudgetExceeded` with ``pairs_left`` set to the
     number of s-pairs still queued.
     """
-    shift = order._deg_shift
     guard = order._guard
     heap: list = []  # (lcm degree, seq, i, j, lcm_exps, lcm_code)
     pending: set[tuple[int, int]] = set()
     seq = 0
     corner_code = _beyond_codes(order)  # codes at or above it are truncated
-    outside: list[int] = []  # codes of degree corner-1 not in the leading ideal
+    outside: list[int] = []  # the staircase's top layer: its largest-degree codes
     work = [0]
 
     def refresh_corner() -> None:
@@ -490,16 +497,18 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
         if outside:
             lm = records[-1].lm
             outside = [k for k in outside if ((k | guard) - lm) & guard != guard]
-            if outside:
+        if not outside:
+            stairs = _staircase_of([r.lm_exps for r in records], order.nvars)
+            if stairs is None:
                 return
-        stairs = _staircase_of([r.lm_exps for r in records], order.nvars)
-        if stairs is None:
+            outside = [order.encode(m) for m in stairs[2]]
+        # One past the highest corner; 0 when the staircase is empty.
+        code = max(outside) + 1 if outside else 0
+        if code == corner_code:
             return
-        _, top, layer = stairs
-        outside = [order.encode(m) for m in layer]
-        corner_code = (top + 1) << shift
+        corner_code = code
         for t, r in enumerate(records):
-            if any(k >= corner_code for k in r.tail):
+            if r.tail and r.last >= corner_code:
                 kept = {k: c for k, c in r.tail.items() if k < corner_code}
                 records[t] = _make_rec(_strip({r.lm: r.lc, **kept}), order, with_pair_data=True)
 

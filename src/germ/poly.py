@@ -21,10 +21,15 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParseError, UnknownVariableError
+from .errors import MonomialOverflowError, ParseError, UnknownVariableError
 
 #: Exponent vector of a monomial, one entry per ring variable.
 Monomial = tuple[int, ...]
+
+#: Largest exponent the basis engine packs (a 16-bit field with a guard
+#: bit, see :mod:`germ.localalg`); the parser rejects larger powers
+#: before expanding them.
+_MAX_EXPONENT = (1 << 15) - 1
 
 Scalar = int | Fraction
 
@@ -384,25 +389,34 @@ class _Parser:
         if tok.kind == "name":
             if tok.value not in self.vars:
                 raise UnknownVariableError(tok.value, tok.pos)
-            base = Polynomial.variable(self.vars, tok.value)
-            return base ** self._optional_exponent()
+            return self._power(Polynomial.variable(self.vars, tok.value))
         if tok.kind == "(":
             inner = self.expr()
             closing = self.advance()
             if closing.kind != ")":
                 raise ParseError("expected ')'", closing.pos)
-            return inner ** self._optional_exponent()
+            return self._power(inner)
         raise ParseError(f"expected a number, variable or '(', found {tok.value!r}"
                          if tok.kind != "end" else "unexpected end of input", tok.pos)
 
-    def _optional_exponent(self) -> int:
+    def _power(self, base: Polynomial) -> Polynomial:
+        """``base`` raised to the optional exponent, bounded before it expands.
+
+        For each variable, the part of ``base**n`` of top degree in it is
+        the n-th power of a nonzero polynomial, so the power holds an
+        exponent n times the largest one in ``base``: past the machine
+        bound it is rejected here, without being computed.
+        """
         if self.peek().kind != "^":
-            return 1
+            return base
         self.advance()
         tok = self.advance()
         if tok.kind != "nat":
             raise ParseError("exponent must be a natural number", tok.pos)
-        return tok.value
+        top = tok.value * max((max(e) for e in base.terms), default=0)
+        if top > _MAX_EXPONENT:
+            raise MonomialOverflowError(f"exponent {top} exceeds the machine bound {_MAX_EXPONENT}")
+        return base ** tok.value
 
 
 def parse_polynomial(text: str, vars: Sequence[str]) -> Polynomial:

@@ -4,7 +4,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import germ.bounds
 from germ import (BOUND_IDS, bound_report, kerner_nemethi_constant, stirling2,
                   superisolated_invariants, wahl_tau_min)
 
@@ -23,6 +25,25 @@ def test_stirling2_values():
         stirling2(2, 3)
 
 
+def recurrence_stirling2(n, k):
+    """Oracle: the triangle S(m, j) = j*S(m-1, j) + S(m-1, j-1), row by row."""
+    row = [1]  # S(0, 0)
+    for m in range(1, n + 1):
+        new = [0] * (min(m, k) + 1)
+        for j in range(1, len(new)):
+            below = row[j] if j < len(row) else 0
+            new[j] = j * below + row[j - 1]
+        row = new
+    return row[k] if k < len(row) else 0
+
+
+@given(st.integers(0, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+@settings(max_examples=200, deadline=None)
+def test_stirling2_sum_matches_the_recurrence(case):
+    n, k = case
+    assert stirling2(n, k) == recurrence_stirling2(n, k)
+
+
 def test_stirling2_row_sums_are_bell_numbers():
     bell = [1, 1, 2, 5, 15, 52, 203, 877]
     for n, b in enumerate(bell):
@@ -37,6 +58,21 @@ def test_kerner_nemethi_values():
         assert kerner_nemethi_constant(n, 1) == math.factorial(n + 1)
     with pytest.raises(ValueError):
         kerner_nemethi_constant(1, 1)
+
+
+def test_kerner_nemethi_order_is_capped():
+    # The cap bounds the Stirling sum before it starts; the largest
+    # accepted input still gets its exact value.
+    cap = germ.bounds._MAX_N_PLUS_R
+    for n, r in [(2, cap - 1), (cap - 1, 2)]:
+        with pytest.raises(ValueError, match=f"n \\+ r <= {cap}"):
+            kerner_nemethi_constant(n, r)
+    # S(m, m-2) = C(m, 3) + 3*C(m, 4): a partition into m-2 blocks has
+    # one block of three or two blocks of two.
+    assert kerner_nemethi_constant(cap - 1, 1) == math.factorial(cap)
+    assert kerner_nemethi_constant(2, cap - 2) == Fraction(
+        math.comb(cap - 1, 2) * math.factorial(cap),
+        (math.comb(cap, 3) + 3 * math.comb(cap, 4)) * math.factorial(cap - 2))
 
 
 def test_wahl_tau_min_values():

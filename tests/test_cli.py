@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -73,6 +74,20 @@ def test_parse_error_exits_1(capsys):
     assert "error" in err
 
 
+def test_power_past_the_exponent_bound_is_rejected_before_expanding(capsys):
+    # (x+y)^40000 holds x^40000, so the parser rejects it without
+    # computing its 40,001 terms (expanding it ran for minutes); the
+    # bound itself still parses.
+    for poly in ["(x+y)^40000", "x^40000+y^3", "(x*y^2+1)^16384"]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invariants", "--vars", "x,y", "--poly", poly)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert "exceeds the machine bound 32767" in err
+    assert parse_polynomial("x^32767", ("x", "y")).terms == {(32767, 0): 1}
+
+
 def test_usage_error_exits_2(capsys):
     code = main(["invariants", "--poly", "x"])
     capsys.readouterr()
@@ -113,6 +128,7 @@ def test_usage_error_exits_2(capsys):
             (["semigroup", "--generators", "4,6"], "gcd 2"),
             (["bounds", "--mu", "5", "--tau", "6", "--n", "2"], "tau=6 exceeds mu=5"),
             (["constants", "--n", "1", "--r", "1"], "need n >= 2 and r >= 1"),
+            (["constants", "--n", "3000", "--r", "3000"], "need n + r <= 2000"),
             (["tau-min", "--degree", "1"], "degree must be at least 2")]:
         code, out, err = run(capsys, *argv)
         assert code == 2

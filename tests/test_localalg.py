@@ -421,16 +421,19 @@ def test_budget_charges_coefficient_growth(monkeypatch):
 
 
 @pytest.mark.parametrize("ring,jacobian,tjurina", [
-    (("x", "y", "z"), (304_481, 14, 3701), (16_504_621, 30, 8488, 265)),
-    (("y", "z", "x"), (316_699, 14, 3747), (16_612_683, 30, 8483, 265)),
+    (("x", "y", "z"), (304_481, 14, 3701), (6_204_613, 30, 8150, 265)),
+    (("y", "z", "x"), (316_699, 14, 3747), (6_312_809, 30, 8146, 265)),
 ], ids=["ring-xyz", "ring-yzx"])
 def test_paper_germ_work_and_bases_are_pinned(monkeypatch, ring, jacobian, tjurina):
     # The paper's germ under the precedence (y,x,z) that wins its
     # portfolio, in the ring orders of benchmark seeds 0 and 1: work
     # units of the Jacobian run and of the warm Tjurina extension, and
-    # generators, terms (and coefficient bits) of both bases.  Measured
-    # with the rational (num, den) kernel that the fraction-free one
-    # replaced; a kernel change that moves the meter or a basis shows here.
+    # generators, terms (and coefficient bits) of both bases.  The
+    # Jacobian values were measured with the rational (num, den) kernel
+    # that the fraction-free one replaced, the Tjurina ones with the
+    # truncation at the highest corner itself (it was at the corner's
+    # degree: 16,504,621 and 16,612,683 units, 8,488 and 8,483 terms); a
+    # kernel change that moves the meter or a basis shows here.
     counters = []
     reduce = localalg._reduce
 
@@ -484,15 +487,16 @@ def test_incremental_corner_is_the_exact_corner(monkeypatch):
     # The completion filters the staircase's top layer per new leading
     # monomial instead of recomputing the staircase; every corner it
     # hands to the kernel must still be the one recomputed from all
-    # leading monomials, before and after certification, in Jacobian
-    # runs and warm Tjurina runs.
+    # leading monomials (one past the largest code of the top layer),
+    # before and after certification, in Jacobian runs and warm Tjurina
+    # runs.
     checked = []
     reduce = localalg._reduce
 
     def spy(h, records, order, corner_code, work, step_limit):
         stairs = _staircase_of([r.lm_exps for r in records], order.nvars)
         exact = (localalg._beyond_codes(order) if stairs is None
-                 else (stairs[1] + 1) << order._deg_shift)
+                 else max((order.encode(m) for m in stairs[2]), default=-1) + 1)
         assert corner_code == exact
         checked.append(corner_code)
         return reduce(h, records, order, corner_code, work, step_limit)
@@ -510,6 +514,37 @@ def test_incremental_corner_is_the_exact_corner(monkeypatch):
     f = P("x^3+y^7+2*x^2*y^3")
     extend_standard_basis(standard_basis([f.partial_derivative(v) for v in V2]), [f])
     assert len(set(checked)) > 1  # pre-corner calls and several corners were seen
+
+
+@pytest.mark.parametrize("text,vs,mu,tau", [
+    ("x^4+y^2*z^3+z^4+x^3*z+(x+y+z)^5", ("x", "y", "z"), 36, 32),
+    ("x^5+y^2*z^3+z^5+x^3*z^2+(x+y+z)^6", ("x", "y", "z"), 72, 58),
+    ("x^3+y^7+2*x^2*y^3", V2, 12, 12),
+])
+def test_truncation_cuts_inside_the_corner_degree(monkeypatch, text, vs, mu, tau):
+    # The kernel truncates at the highest corner itself, not at the
+    # first degree past it: under every precedence some reduction of
+    # the Jacobian run or the warm Tjurina run gets a bound that lies
+    # inside a degree, and mu and tau still match the jet oracle.
+    bounds = []
+    reduce = localalg._reduce
+
+    def spy(h, records, order, corner_code, work, step_limit):
+        bounds.append(corner_code)
+        return reduce(h, records, order, corner_code, work, step_limit)
+
+    monkeypatch.setattr(localalg, "_reduce", spy)
+    f = parse_polynomial(text, vs)
+    grad = [f.partial_derivative(v) for v in vs]
+    assert (jet_quotient_dimension(grad), jet_quotient_dimension(grad + [f])) == (mu, tau)
+    for prec in itertools.permutations(vs):
+        order = LocalOrder(vs, prec)
+        bounds.clear()
+        jac = standard_basis(grad, order)
+        tj = extend_standard_basis(jac, [f])
+        assert (quotient_codimension(jac), quotient_codimension(tj)) == (mu, tau)
+        low_bits = (1 << order._deg_shift) - 1
+        assert any(code & low_bits for code in bounds), prec
 
 
 def test_warm_ladder_recurses_only_when_the_top_layer_empties(monkeypatch):
