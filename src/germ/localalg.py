@@ -16,12 +16,15 @@ and they become ``Polynomial`` objects only when ``generators`` is first
 read.  An active remainder is an integer vector with one exact rational
 scale (fraction-free reduction with lazy content removal), so every
 verdict is exact.  Once the leading ideal has a finite staircase, every
-term smaller than its highest corner lies in the ideal and is dropped.
+term smaller than its highest corner lies in the ideal and is dropped;
+record tails are sorted by code, so a shifted tail is cut there by one
+bisection.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappush, heappop
@@ -118,22 +121,26 @@ class LocalOrder:
 
 
 class _Rec:
-    """A reducer: leading term, tail, and cached order data."""
+    """A reducer: leading term, tail, and cached order data.
 
-    __slots__ = ("lm", "lc", "tail", "last", "ecart", "lm_exps", "lm2", "lc2")
+    The tail (the terms without the leading one) is kept as parallel
+    tuples sorted by packed code: ``keys[0]`` is its greatest monomial
+    and ``keys[-1]`` its smallest, and the terms a truncation keeps are
+    a prefix.
+    """
 
-    def __init__(self, lm, lc, tail, last, ecart, lm_exps=None, lm2=None, lc2=None):
+    __slots__ = ("lm", "lc", "keys", "coefs", "ecart", "lm_exps")
+
+    def __init__(self, lm, lc, keys, coefs, ecart, lm_exps=None):
         self.lm = lm
         self.lc = lc
-        self.tail = tail          # terms without the leading one
-        self.last = last          # largest code of the terms: the smallest monomial
+        self.keys = keys
+        self.coefs = coefs
         self.ecart = ecart
         self.lm_exps = lm_exps
-        self.lm2 = lm2
-        self.lc2 = lc2
 
     def full_terms(self) -> dict:
-        out = dict(self.tail)
+        out = dict(zip(self.keys, self.coefs))
         out[self.lm] = self.lc
         return out
 
@@ -179,15 +186,13 @@ def _decode_poly(terms: dict, order: LocalOrder) -> Polynomial:
 
 def _make_rec(terms: dict, order: LocalOrder, with_pair_data: bool = False) -> _Rec:
     shift = order._deg_shift
-    lm = min(terms)
-    last = max(terms)
-    tail = {k: c for k, c in terms.items() if k != lm}
-    rec = _Rec(lm, terms[lm], tail, last, (last >> shift) - (lm >> shift))
+    codes = sorted(terms)
+    lm = codes[0]
+    keys = tuple(codes[1:])
+    rec = _Rec(lm, terms[lm], keys, tuple([terms[k] for k in keys]),
+               (codes[-1] >> shift) - (lm >> shift))
     if with_pair_data:
         rec.lm_exps = order.decode(lm)
-        if tail:
-            rec.lm2 = min(tail)
-            rec.lc2 = tail[rec.lm2]
     return rec
 
 
@@ -249,11 +254,11 @@ def _coprime_skip(f: _Rec, g: _Rec) -> bool:
     """
     if any(x and y for x, y in zip(f.lm_exps, g.lm_exps)):
         return False
-    if f.lm2 is None or g.lm2 is None:
+    if not f.keys or not g.keys:
         return True
-    if f.lm2 + g.lm != g.lm2 + f.lm:
+    if f.keys[0] + g.lm != g.keys[0] + f.lm:
         return True
-    return f.lc2 * g.lc != g.lc2 * f.lc
+    return f.coefs[0] * g.lc != g.coefs[0] * f.lc
 
 
 def _staircase(gens: frozenset, nvars: int, memo: dict) -> tuple[int, int, tuple] | None:
@@ -326,23 +331,39 @@ def _staircase_of(lm_exps: Sequence[Monomial], nvars: int) -> tuple[int, int, tu
     return _staircase(frozenset(_minimalize(lm_exps)), nvars, {})
 
 
-def _add_shifted(h: dict, a: int, s: int, terms: dict, corner_code: int, guard: int) -> None:
-    """``h += a * x^s * terms`` in place, dropping codes at or above ``corner_code``."""
-    for k, c in terms.items():
-        kk = k + s
-        if kk >= corner_code:
-            continue
-        if kk & guard:
-            raise MonomialOverflowError("intermediate exponent exceeds the machine bound")
-        v = h.get(kk)
+def _add_shifted(h: dict, a: int, s: int, rec: _Rec, corner_code: int,
+                 order: LocalOrder) -> None:
+    """``h += a * x^s * tail(rec)`` in place, dropping codes at or above ``corner_code``.
+
+    ``k + s < corner_code`` exactly when ``k < corner_code - s``, so the
+    kept terms are the prefix of the sorted tail up to a bisection, and
+    the terms past it are never visited.  A field past ``_MAX_EXPONENT``
+    makes the degree exceed it too, and the last kept code has the
+    largest degree, so the guard bits are tested term by term only when
+    that degree exceeds the bound: never below a corner of degree at
+    most ``_MAX_EXPONENT``.
+    """
+    keys = rec.keys
+    n = bisect_left(keys, corner_code - s)
+    if n < len(keys):
+        keys = keys[:n]
+    if keys and (keys[-1] + s) >> order._deg_shift > _MAX_EXPONENT:
+        guard = order._guard
+        for k in keys:
+            if (k + s) & guard:
+                raise MonomialOverflowError("intermediate exponent exceeds the machine bound")
+    get = h.get
+    for k, c in zip(keys, rec.coefs):
+        k += s
+        v = get(k)
         if v is None:
-            h[kk] = a * c
+            h[k] = a * c
         else:
             v += a * c
             if v:
-                h[kk] = v
+                h[k] = v
             else:
-                del h[kk]
+                del h[k]
 
 
 def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
@@ -372,9 +393,10 @@ def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
     than 64 bits since the last move (lazy content removal, as in Greuel-Pfister, *A
     Singular Introduction to Commutative Algebra*).  The integers then
     stay about as long as the numerators and denominators of the
-    rational remainder: at most 773 against 717 bits in the warm
-    Tjurina run of the paper's germ under (y,x,z), and 1,204 against
-    803 bits over its six 1M-unit Jacobian attempts.
+    rational remainder: at most 722 against 717 bits in the warm
+    Tjurina run of the paper's germ under (y,x,z) in ring (x,y,z), and
+    159 against 190 bits over the seven attempts of its Jacobian
+    portfolio (six 15,625-unit probes and the 1M-unit win).
     """
     guard = order._guard
     shift = order._deg_shift
@@ -398,9 +420,10 @@ def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
             return _strip(h)
         if mora and best_ecart > (max(h) >> shift) - (lm_h >> shift):
             reducers.append(_make_rec(_strip(dict(h)), order))
-        # Work is metered in tail-term operations plus a coefficient-size
-        # surcharge, so runaway precedences fail their budget early.
-        work[0] += len(best.tail) + 1
+        # Work is metered in tail-term operations, the terms past the
+        # corner included, plus a coefficient-size surcharge, so runaway
+        # precedences fail their budget early.
+        work[0] += len(best.keys) + 1
         if step_limit is not None and work[0] > step_limit:
             raise ComputationBudgetExceeded(f"standard-basis run exceeded {step_limit} work units")
         a = h.pop(lm_h)
@@ -416,14 +439,14 @@ def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
         den = sd * lc
         g = gcd(num, den)
         bits = (num // g).bit_length() + (den // g).bit_length()
-        work[0] += (bits >> 3) + len(best.tail) * ((bits >> 7) + (bits * bits >> 18))
+        work[0] += (bits >> 3) + len(best.keys) * ((bits >> 7) + (bits * bits >> 18))
         g = gcd(a, lc)
         m = lc // g
         if m != 1:
             h = {k: c * m for k, c in h.items()}
             sd *= m
             grown += m.bit_length()
-        _add_shifted(h, -(a // g), lm_h - best.lm, best.tail, corner_code, guard)
+        _add_shifted(h, -(a // g), lm_h - best.lm, best, corner_code, order)
         if grown > 64 and h:
             grown = 0
             c = _content(h)
@@ -446,8 +469,8 @@ def _spoly(f: _Rec, g: _Rec, lcm_code: int, order: LocalOrder,
     """
     d = gcd(f.lc, g.lc)
     out: dict = {}
-    _add_shifted(out, g.lc // d, lcm_code - f.lm, f.tail, corner_code, order._guard)
-    _add_shifted(out, -(f.lc // d), lcm_code - g.lm, g.tail, corner_code, order._guard)
+    _add_shifted(out, g.lc // d, lcm_code - f.lm, f, corner_code, order)
+    _add_shifted(out, -(f.lc // d), lcm_code - g.lm, g, corner_code, order)
     return out
 
 
@@ -508,9 +531,11 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
             return
         corner_code = code
         for t, r in enumerate(records):
-            if r.tail and r.last >= corner_code:
-                kept = {k: c for k, c in r.tail.items() if k < corner_code}
-                records[t] = _make_rec(_strip({r.lm: r.lc, **kept}), order, with_pair_data=True)
+            if r.keys and r.keys[-1] >= corner_code:
+                n = bisect_left(r.keys, corner_code)
+                kept = dict(zip(r.keys[:n], r.coefs))
+                kept[r.lm] = r.lc
+                records[t] = _make_rec(_strip(kept), order, with_pair_data=True)
 
     def push_pairs(t: int) -> None:
         nonlocal seq

@@ -20,6 +20,14 @@ from typing import Sequence
 from .errors import NotPlaneBranchError
 from .poly import Polynomial
 
+#: The largest multiplicity (smallest generator) and conductor that
+#: :func:`semigroup_from_generators` accepts.  The Apery set has one
+#: entry per residue of the multiplicity and the gaps number up to the
+#: conductor, so both stay below a tenth of a second; a semigroup other
+#: than the naturals has a conductor at least its multiplicity, so the
+#: multiplicity is checked first, before the Apery set is built.
+_MAX_CONDUCTOR = 100_000
+
 
 def _validate_generators(gens: Sequence[int]) -> list[int]:
     out = sorted(set(int(g) for g in gens))
@@ -94,10 +102,14 @@ class NumericalSemigroup:
 def semigroup_from_generators(gens: Sequence[int]) -> NumericalSemigroup:
     """Build the semigroup generated by ``gens`` (gcd must be 1).
 
-    Non-minimal generating sets are minimized with a warning.
+    Non-minimal generating sets are minimized with a warning.  A
+    multiplicity or conductor past :data:`_MAX_CONDUCTOR` raises
+    ``ValueError`` before the gaps are listed.
     """
     minimal = _minimal_valid(gens, "using")
     a = minimal[0]
+    if a > _MAX_CONDUCTOR:
+        raise ValueError(f"multiplicity {a} exceeds the bound {_MAX_CONDUCTOR}")
     apery = [None] * a
     apery[0] = 0
     heap = [(0, 0)]
@@ -112,6 +124,8 @@ def semigroup_from_generators(gens: Sequence[int]) -> NumericalSemigroup:
                 apery[nr] = nv
                 heapq.heappush(heap, (nv, nr))
     conductor = max(apery) - a + 1
+    if conductor > _MAX_CONDUCTOR:
+        raise ValueError(f"conductor {conductor} exceeds the bound {_MAX_CONDUCTOR}")
     gaps = tuple(x for x in range(conductor) if x < apery[x % a])
     return NumericalSemigroup(minimal, gaps, len(gaps), conductor, tuple(apery))
 

@@ -126,6 +126,7 @@ def test_usage_error_exits_2(capsys):
              "suspension power must be at least 2"),
             (["superisolated", "--degree", "1"], "degree must be at least 2"),
             (["semigroup", "--generators", "4,6"], "gcd 2"),
+            (["semigroup", "--generators", "2,40000001"], "conductor 40000000 exceeds the bound"),
             (["bounds", "--mu", "5", "--tau", "6", "--n", "2"], "tau=6 exceeds mu=5"),
             (["constants", "--n", "1", "--r", "1"], "need n >= 2 and r >= 1"),
             (["constants", "--n", "3000", "--r", "3000"], "need n + r <= 2000"),

@@ -253,6 +253,81 @@ def test_reduce_matches_fraction_oracle(case):
     assert work[0] == units
 
 
+def naive_add_shifted(h, a, s, terms, corner_code, guard):
+    """Oracle for ``localalg._add_shifted``: visits every tail term of the
+    dict ``terms`` (leading term excluded), cuts and guards each one."""
+    for k, c in sorted(terms.items())[1:]:
+        kk = k + s
+        if kk >= corner_code:
+            continue
+        if kk & guard:
+            raise MonomialOverflowError("intermediate exponent exceeds the machine bound")
+        v = h.get(kk, 0) + a * c
+        if v:
+            h[kk] = v
+        else:
+            h.pop(kk, None)
+
+
+@st.composite
+def shifted_additions(draw):
+    """A tail, a shift, a start vector (partly cancelling) and a corner code.
+
+    Exponents are small or near the machine bound, so shifted codes
+    overflow a field; the corner is the pre-corner bound, one past a
+    monomial (a corner inside its degree), a shifted tail code itself, a
+    degree boundary, or 0.
+    """
+    vs = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    order = LocalOrder(vs, draw(st.permutations(vs)))
+    top = localalg._MAX_EXPONENT
+    exponent = st.one_of(st.integers(0, 4), st.integers(top - 4, top))
+    monomial = st.tuples(*[exponent] * len(vs)).map(order.encode)
+    coefficient = st.integers(-9, 9).filter(bool)
+    terms = draw(st.dictionaries(monomial, coefficient, min_size=1, max_size=8))
+    s = draw(monomial)
+    a = draw(coefficient)
+    h = draw(st.dictionaries(monomial, coefficient, max_size=4))
+    for k in draw(st.lists(st.sampled_from(sorted(terms)), max_size=4)):
+        h[k + s] = -a * terms[k]  # cancels that term exactly
+    corner_code = draw(st.one_of(
+        st.just(localalg._beyond_codes(order)),
+        monomial.map(lambda code: code + 1),
+        st.sampled_from(sorted(terms)).map(lambda code: code + s),
+        st.integers(0, 2 * top + 4).map(lambda d: d << order._deg_shift),
+        st.just(0)))
+    return order, terms, s, a, h, corner_code
+
+
+@given(shifted_additions())
+@settings(max_examples=300, deadline=None)
+def test_add_shifted_matches_per_term_oracle(case):
+    # The bisection cut gives the per-term cut, and the guard, which the
+    # kernel tests only when the largest kept code has a degree past the
+    # exponent bound, raises exactly when some kept term overflows a field.
+    order, terms, s, a, h, corner_code = case
+    expected = dict(h)
+    try:
+        naive_add_shifted(expected, a, s, terms, corner_code, order._guard)
+    except MonomialOverflowError:
+        expected = None
+    rec = localalg._make_rec(terms, order)
+    if expected is None:
+        with pytest.raises(MonomialOverflowError, match="intermediate exponent"):
+            localalg._add_shifted(h, a, s, rec, corner_code, order)
+    else:
+        localalg._add_shifted(h, a, s, rec, corner_code, order)
+        assert h == expected
+        assert all(h.values())
+
+
+def test_intermediate_exponent_overflow_raises():
+    # Every input exponent is in range, but before a corner is certified
+    # a reduction shifts a tail term past the bound.
+    with pytest.raises(MonomialOverflowError, match="intermediate exponent"):
+        standard_basis([P("x*y+x^20000"), P("y^2+y^20000")])
+
+
 # -- standard bases --------------------------------------------------------
 
 
@@ -380,8 +455,7 @@ def test_coprime_pair_with_cancelling_leading_terms(monkeypatch):
     def spy(f, g):
         skip = coprime_skip(f, g)
         if (not any(x and y for x, y in zip(f.lm_exps, g.lm_exps))
-                and f.lm2 is not None and g.lm2 is not None
-                and f.lm2 + g.lm == g.lm2 + f.lm):
+                and f.keys and g.keys and f.keys[0] + g.lm == g.keys[0] + f.lm):
             outcomes.append(skip)
         return skip
 
@@ -435,12 +509,16 @@ def test_paper_germ_work_and_bases_are_pinned(monkeypatch, ring, jacobian, tjuri
     # degree: 16,504,621 and 16,612,683 units, 8,488 and 8,483 terms); a
     # kernel change that moves the meter or a basis shows here.
     counters = []
+    nonzero = []  # per run, whether each reduction left a remainder
     reduce = localalg._reduce
 
     def spy(h, records, order, corner_code, work, step_limit):
         if not counters or counters[-1] is not work:
             counters.append(work)
-        return reduce(h, records, order, corner_code, work, step_limit)
+            nonzero.append([])
+        rem = reduce(h, records, order, corner_code, work, step_limit)
+        nonzero[-1].append(bool(rem))
+        return rem
 
     monkeypatch.setattr(localalg, "_reduce", spy)
     f = parse_polynomial("x^14+y^6*z^8+z^14+x^9*z^5+(x+y+z)^15", ring)
@@ -452,6 +530,8 @@ def test_paper_germ_work_and_bases_are_pinned(monkeypatch, ring, jacobian, tjuri
     assert (len(tj.generators), sum(len(g.terms) for g in tj.generators),
             max(abs(c.numerator).bit_length() for g in tj.generators
                 for c in g.terms.values())) == tjurina[1:]
+    # The Tjurina floor: 26 of its 41 reductions end at zero.
+    assert (len(nonzero[1]), nonzero[1].count(False)) == (41, 26)
     assert quotient_codimension(jac) == 2288 and quotient_codimension(tj) == 1660
 
 

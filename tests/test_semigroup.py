@@ -87,6 +87,19 @@ def test_membership_scales_with_a_large_generator():
     assert cert is not None and cert.witnesses == ((4_000_001,),)
 
 
+def test_multiplicity_and_conductor_are_capped():
+    # <2, b> has conductor b - 1: the cap itself is accepted, the next
+    # odd b is rejected before its gaps are listed, and a multiplicity
+    # past the cap is rejected before the Apery set is built.
+    cap = germ.semigroup._MAX_CONDUCTOR
+    s = semigroup_from_generators([2, cap + 1])
+    assert s.conductor == cap and s.delta == cap // 2
+    with pytest.raises(ValueError, match=f"conductor {cap + 2} exceeds the bound {cap}"):
+        semigroup_from_generators([2, cap + 3])
+    with pytest.raises(ValueError, match=f"multiplicity {cap + 1} exceeds the bound {cap}"):
+        semigroup_from_generators([cap + 1, cap + 2])
+
+
 def test_certify_2_3():
     cert = certify_plane_branch([2, 3])
     assert cert is not None
