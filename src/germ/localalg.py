@@ -124,9 +124,11 @@ class _Rec:
     """A reducer: leading term, tail, and cached order data.
 
     The tail (the terms without the leading one) is kept as parallel
-    tuples sorted by packed code: ``keys[0]`` is its greatest monomial
+    lists sorted by packed code: ``keys[0]`` is its greatest monomial
     and ``keys[-1]`` its smallest, and the terms a truncation keeps are
-    a prefix.
+    a prefix.  Lists, not tuples: CPython keeps up to 2,000 freed tuples
+    of each length below 20 for reuse, and the short tails of small
+    germs left about 130 KB there.
     """
 
     __slots__ = ("lm", "lc", "keys", "coefs", "ecart", "lm_exps")
@@ -187,7 +189,7 @@ def _decode_poly(terms: dict, order: LocalOrder) -> Polynomial:
 def _make_rec(terms: dict, order: LocalOrder, with_pair_data: bool = False) -> _Rec:
     codes = sorted(terms)
     lm = codes[0]
-    return _Rec(lm, terms[lm], tuple(codes[1:]), tuple(map(terms.get, codes[1:])),
+    return _Rec(lm, terms[lm], codes[1:], list(map(terms.get, codes[1:])),
                 order.degree(codes[-1]) - order.degree(lm),
                 order.decode(lm) if with_pair_data else None)
 
@@ -337,7 +339,7 @@ def _add_shifted(h: dict, a: int, s: int, rec: _Rec, corner_code: int,
     that degree exceeds the bound: never below a corner of degree at
     most ``_MAX_EXPONENT``.
     """
-    keys = rec.keys[:bisect_left(rec.keys, corner_code - s)]  # a full slice is the tuple itself
+    keys = rec.keys[:bisect_left(rec.keys, corner_code - s)]
     if keys and order.degree(keys[-1] + s) > _MAX_EXPONENT and any(
             (k + s) & order._guard for k in keys):
         raise MonomialOverflowError("intermediate exponent exceeds the machine bound")
