@@ -9,7 +9,7 @@ from .bounds import (BOUND_IDS, BoundReport, BoundVerdict, bound_report,
                      kerner_nemethi_constant, stirling2, superisolated_invariants,
                      wahl_tau_min)
 from .corpus import ReportRow, SweepResult, SweepSpec, evaluate_germ, generate_corpus, sweep
-from .errors import (GermError, MonomialOverflowError, NotAGermError,
+from .errors import (ExpansionTooLargeError, GermError, MonomialOverflowError, NotAGermError,
                      NotPlaneBranchError, ParseError, UnknownVariableError)
 from .invariants import (GermInvariants, find_positive_weights, germ_invariants,
                          milnor_number, suspend, tjurina_number)
@@ -28,8 +28,8 @@ __all__ = [
     "BOUND_IDS", "BoundReport", "BoundVerdict", "bound_report",
     "kerner_nemethi_constant", "stirling2", "superisolated_invariants", "wahl_tau_min",
     "ReportRow", "SweepResult", "SweepSpec", "evaluate_germ", "generate_corpus", "sweep",
-    "GermError", "MonomialOverflowError", "NotAGermError", "NotPlaneBranchError",
-    "ParseError", "UnknownVariableError",
+    "ExpansionTooLargeError", "GermError", "MonomialOverflowError", "NotAGermError",
+    "NotPlaneBranchError", "ParseError", "UnknownVariableError",
     "GermInvariants", "find_positive_weights", "germ_invariants", "milnor_number",
     "suspend", "tjurina_number",
     "jet_quotient_dimension",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -206,6 +205,9 @@ def sweep(spec: SweepSpec, threads: int = 1, timeout: float | None = None) -> Sw
     germs = generate_corpus(spec)
     jobs = (range(len(germs)), germs, [timeout] * len(germs))
     if threads > 1 and len(germs) > 1:
+        # Imported here: the pool brings in multiprocessing, pickle and
+        # logging, which no serial caller should pay for.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(evaluate_row, *jobs,
                                  chunksize=max(1, len(germs) // (32 * threads))))

@@ -29,6 +29,10 @@ class MonomialOverflowError(GermError):
     """An exponent exceeded the machine-word bound of the basis engine."""
 
 
+class ExpansionTooLargeError(GermError):
+    """A power in polynomial text would expand past the parser's term bound."""
+
+
 class ComputationBudgetExceeded(GermError):
     """A standard-basis run went past its deterministic work budget.
 

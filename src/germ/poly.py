@@ -17,11 +17,15 @@ insignificant, multiplication by juxtaposition is allowed)::
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .errors import MonomialOverflowError, ParseError, UnknownVariableError
+from .errors import (ExpansionTooLargeError, MonomialOverflowError, ParseError,
+                     UnknownVariableError)
 
 #: Exponent vector of a monomial, one entry per ring variable.
 Monomial = tuple[int, ...]
@@ -31,9 +35,25 @@ Monomial = tuple[int, ...]
 #: before expanding them.
 _MAX_EXPONENT = (1 << 15) - 1
 
+#: Most compositions a power may walk (see :func:`_compositions`), and
+#: so most terms it may have; the parser rejects a larger power before
+#: expanding it.  The worst powers it accepts, ``(x+y+z)^445`` and
+#: ``(x+y)^32767`` (held there by :data:`_MAX_EXPONENT`), expand in
+#: about half a second each.
+_MAX_POWER_TERMS = 100_000
+
 Scalar = int | Fraction
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+
+
+def _compositions(t: int, n: int) -> int:
+    """C(n+t-1, t-1): the ways to write n as an ordered sum of t naturals.
+
+    A power of a polynomial with t terms is expanded by one walk over
+    them, so this also bounds the terms the power can have.
+    """
+    return math.comb(n + t - 1, t - 1) if t else int(not n)
 
 
 def _print_key(exps: Monomial):
@@ -194,16 +214,63 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
+        """``self ** n`` by the multinomial theorem.
+
+        One walk over the compositions k of n into the t terms ``c_i*m_i``
+        (:func:`_compositions` counts them) adds
+        ``n!/prod(k_i!) * prod(c_i**k_i)`` to the monomial
+        ``prod(m_i**k_i)``.  Coefficients are integers over the common
+        denominator D of the ``c_i`` (divided by ``D**n`` once, at the
+        end) and monomials are packed into one integer with a field per
+        variable wide enough for ``n`` times the largest exponent, so a
+        composition costs a few integer operations.
+        """
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a natural number")
-        result = Polynomial.constant(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if not n or not self.terms:
+            return Polynomial.constant(self.vars, 0 if n else 1)
+        if len(self.terms) == 1:  # the tables below would hold n powers of c
+            (e, c), = self.terms.items()
+            return Polynomial._raw(self.vars, {tuple(n * x for x in e): c ** n})
+        exps = list(self.terms)
+        den = 1
+        for c in self.terms.values():
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        width = (n * max(max(e) for e in exps)).bit_length() or 1
+        shifts = range(0, width * len(self.vars), width)
+        codes = [sum(x << s for x, s in zip(e, shifts)) for e in exps]
+        # The powers 0..n of each numerator: with t >= 2 terms the result
+        # holds a multiple of each, so the tables are no larger than it.
+        powers = [list(accumulate(repeat(c.numerator * (den // c.denominator), n), mul, initial=1))
+                  for c in self.terms.values()]
+        last = len(exps) - 1
+        out: dict[int, int] = {}
+        get = out.get
+        # (term i, exponent left for terms i.., packed monomial and
+        # coefficient of the exponents chosen for terms before i)
+        stack = [(0, n, 0, 1)]
+        while stack:
+            i, r, code, c = stack.pop()
+            if not r:  # terms i.. all take exponent 0
+                out[code] = get(code, 0) + c
+                continue
+            ci, pi = codes[i], powers[i]
+            binom = 1  # C(r, k)
+            if i == last - 1:  # the last term takes r - k
+                cl, pl = codes[last], powers[last]
+                for k in range(r + 1):
+                    key = code + k * ci + (r - k) * cl
+                    out[key] = get(key, 0) + c * binom * (pi[k] * pl[r - k])
+                    binom = binom * (r - k) // (k + 1)
+            else:
+                for k in range(r + 1):
+                    stack.append((i + 1, r - k, code + k * ci, c * binom * pi[k]))
+                    binom = binom * (r - k) // (k + 1)
+        mask = (1 << width) - 1
+        scale = den ** n
+        frac = Fraction if scale == 1 else lambda v: Fraction(v, scale)
+        return Polynomial._raw(self.vars, {tuple(key >> s & mask for s in shifts): frac(v)
+                                           for key, v in out.items() if v})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -405,7 +472,9 @@ class _Parser:
         For each variable, the part of ``base**n`` of top degree in it is
         the n-th power of a nonzero polynomial, so the power holds an
         exponent n times the largest one in ``base``: past the machine
-        bound it is rejected here, without being computed.
+        bound it is rejected here, without being computed.  So is a
+        power whose expansion walks more than :data:`_MAX_POWER_TERMS`
+        compositions.
         """
         if self.peek().kind != "^":
             return base
@@ -416,6 +485,11 @@ class _Parser:
         top = tok.value * max((max(e) for e in base.terms), default=0)
         if top > _MAX_EXPONENT:
             raise MonomialOverflowError(f"exponent {top} exceeds the machine bound {_MAX_EXPONENT}")
+        count = _compositions(len(base.terms), tok.value)
+        if count > _MAX_POWER_TERMS:
+            raise ExpansionTooLargeError(
+                f"power {tok.value} of a {len(base.terms)}-term polynomial walks {count} "
+                f"compositions, past the bound {_MAX_POWER_TERMS} (at position {tok.pos})")
         return base ** tok.value
 
 

@@ -11,7 +11,6 @@ is cut out by explicit binomials.
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,7 +24,8 @@ from .poly import Polynomial
 #: entry per residue of the multiplicity and the gaps number up to the
 #: conductor, so both stay below a tenth of a second; a semigroup other
 #: than the naturals has a conductor at least its multiplicity, so the
-#: multiplicity is checked first, before the Apery set is built.
+#: multiplicity is checked first, before the Apery set that minimizing
+#: the generators builds.
 _MAX_CONDUCTOR = 100_000
 
 
@@ -43,40 +43,64 @@ def _validate_generators(gens: Sequence[int]) -> list[int]:
     return out
 
 
-def _reachable(target: int, gens: Sequence[int]) -> bool:
-    """Unbounded-knapsack membership of ``target`` in the monoid of ``gens``."""
-    if target == 0:
-        return True
-    bits = 1  # bit i set <=> i representable
-    mask = (1 << (target + 1)) - 1
-    for g in gens:
-        if g == 0 or g > target:
+def _minimize(gens: Sequence[int]) -> tuple[tuple[int, ...], list]:
+    """Minimal generators of ``gens`` and the Apery set of their monoid.
+
+    ``apery[r]`` is the least sum of kept generators congruent to ``r``
+    modulo the smallest generator m (infinite while there is none), so
+    a larger generator g is a sum of the smaller ones exactly when
+    ``apery[g % m] <= g``.  Keeping g walks each cycle of ``r -> r + g``
+    (mod m), the residues ``c::gcd(m, g)``, once from its least entry,
+    which no sum with g can lower (the round-robin update of Böcker and
+    Lipták).  The table has m entries whatever the largest generator,
+    and a multiplicity past :data:`_MAX_CONDUCTOR` raises ``ValueError``
+    before it is built.
+    """
+    candidates = sorted(set(int(g) for g in gens) - {0})
+    if not candidates:
+        return (), []
+    m = candidates[0]
+    if m > _MAX_CONDUCTOR:
+        raise ValueError(f"multiplicity {m} exceeds the bound {_MAX_CONDUCTOR}")
+    apery = [0] + [math.inf] * (m - 1)
+    kept = [m]
+    for g in candidates[1:]:
+        if apery[g % m] <= g:
             continue
-        shift = g  # shifts g, 2g, 4g, ... add every multiple of g up to target
-        while shift <= target:
-            bits |= (bits << shift) & mask
-            shift *= 2
-    return bool(bits >> target & 1)
+        kept.append(g)
+        d, step = math.gcd(m, g), g % m
+        for c in range(d):
+            cycle = apery[c::d]
+            v = min(cycle)
+            if v == math.inf:
+                continue
+            r = c + d * cycle.index(v)
+            for _ in range(m // d - 1):
+                r += step
+                if r >= m:
+                    r -= m
+                v += g
+                if apery[r] < v:
+                    v = apery[r]
+                else:
+                    apery[r] = v
+    return tuple(kept), apery
 
 
 def minimal_generators(gens: Sequence[int]) -> tuple[int, ...]:
     """Drop every generator representable by the smaller ones."""
-    candidates = sorted(set(int(g) for g in gens))
-    kept: list[int] = []
-    for g in candidates:
-        if not _reachable(g, kept):
-            kept.append(g)
-    return tuple(kept)
+    return _minimize(gens)[0]
 
 
-def _minimal_valid(gens: Sequence[int], verb: str) -> tuple[int, ...]:
-    """Validated, minimized ``gens``, with a warning at the public caller when that drops some."""
+def _minimal_valid(gens: Sequence[int], verb: str) -> tuple[tuple[int, ...], list]:
+    """Validated, minimized ``gens`` and their Apery set, with a warning
+    at the public caller when minimizing drops some."""
     valid = _validate_generators(gens)
-    minimal = minimal_generators(valid)
+    minimal, apery = _minimize(valid)
     if list(minimal) != valid:
         warnings.warn(f"generating set {valid} is not minimal; {verb} {list(minimal)}",
                       stacklevel=3)
-    return minimal
+    return minimal, apery
 
 
 @dataclass(frozen=True)
@@ -103,26 +127,12 @@ def semigroup_from_generators(gens: Sequence[int]) -> NumericalSemigroup:
     """Build the semigroup generated by ``gens`` (gcd must be 1).
 
     Non-minimal generating sets are minimized with a warning.  A
-    multiplicity or conductor past :data:`_MAX_CONDUCTOR` raises
-    ``ValueError`` before the gaps are listed.
+    multiplicity past :data:`_MAX_CONDUCTOR` raises ``ValueError``
+    before the generators are minimized, a conductor past it before
+    the gaps are listed.
     """
-    minimal = _minimal_valid(gens, "using")
+    minimal, apery = _minimal_valid(gens, "using")
     a = minimal[0]
-    if a > _MAX_CONDUCTOR:
-        raise ValueError(f"multiplicity {a} exceeds the bound {_MAX_CONDUCTOR}")
-    apery = [None] * a
-    apery[0] = 0
-    heap = [(0, 0)]
-    while heap:
-        value, residue = heapq.heappop(heap)
-        if apery[residue] is not None and apery[residue] < value:
-            continue
-        for g in minimal[1:]:
-            nv = value + g
-            nr = nv % a
-            if apery[nr] is None or nv < apery[nr]:
-                apery[nr] = nv
-                heapq.heappush(heap, (nv, nr))
     conductor = max(apery) - a + 1
     if conductor > _MAX_CONDUCTOR:
         raise ValueError(f"conductor {conductor} exceeds the bound {_MAX_CONDUCTOR}")
@@ -209,7 +219,7 @@ def certify_plane_branch(gens: Sequence[int]) -> PlaneBranchCertificate | None:
     ``n_i * beta_i < beta_{i+1}`` for i = 1..g-1 (the clause at i = g
     compares against a generator that does not exist and is vacuous).
     """
-    return _certify(_minimal_valid(gens, "certifying"))
+    return _certify(_minimal_valid(gens, "certifying")[0])
 
 
 def _certify(beta: Sequence[int]) -> PlaneBranchCertificate | None:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, machine output."""
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -7,13 +8,15 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 import germ.corpus
 import germ.invariants
+import germ.poly
 import germ.semigroup
-from germ import BOUND_IDS, bound_report, parse_polynomial
+from germ import BOUND_IDS, ExpansionTooLargeError, bound_report, parse_polynomial
 from germ.cli import main
 
 BENCHMARK_GERM = "x^14+y^6*z^8+z^14+x^9*z^5+(x+y+z)^15"
@@ -86,6 +89,23 @@ def test_power_past_the_exponent_bound_is_rejected_before_expanding(capsys):
         assert out == ""
         assert "exceeds the machine bound 32767" in err
     assert parse_polynomial("x^32767", ("x", "y")).terms == {(32767, 0): 1}
+
+
+def test_power_past_the_term_bound_is_rejected_before_expanding(capsys, monkeypatch):
+    # ((x+y+z)^5)^10 would walk C(30, 20) = 30,045,015 compositions of 10
+    # into the 21 terms of its base, (x+y+z)^446 C(448, 2) = 100,128.
+    for poly in ["((x+y+z)^5)^10", "(x+y+z)^446"]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invariants", "--vars", "x,y,z", "--poly", poly)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert "compositions, past the bound 100000" in err
+    # the bound itself is accepted: (x+y+z)^3 walks C(5, 2) = 10
+    monkeypatch.setattr(germ.poly, "_MAX_POWER_TERMS", 10)
+    assert len(parse_polynomial("(x+y+z)^3", ("x", "y", "z")).terms) == 10
+    with pytest.raises(ExpansionTooLargeError, match=r"power 4 of a 3-term .* 15 compositions"):
+        parse_polynomial("(x+y+z)^4", ("x", "y", "z"))
 
 
 def test_usage_error_exits_2(capsys):
@@ -177,6 +197,25 @@ def test_non_minimal_generators_print_one_warning_line(capsys):
     assert code == 0
     assert out.startswith("semigroup <4,6,13>\n")
     assert err == "warning: generating set [4, 6, 8, 13] is not minimal; using [4, 6, 13]\n"
+
+
+def test_redundant_large_generator_costs_neither_time_nor_memory(capsys):
+    # Redundancy is decided from a table of one entry per residue of the
+    # multiplicity 2, so neither time nor memory grows with 10^8.
+    tracemalloc.start()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "semigroup", "--generators", "2,3,100000000", "--json",
+                         "--reproducible")
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 0
+    assert err == "warning: generating set [2, 3, 100000000] is not minimal; using [2, 3]\n"
+    assert json.loads(out) == {
+        "generators": [2, 3], "gaps": [1], "delta": 1, "conductor": 2, "plane_branch": True,
+        "e": [2, 1], "n": [2], "witnesses": [[3]], "mu": 2, "equations": ["u1^2-u0^3"]}
+    assert elapsed < 1
+    assert peak < 1 << 20
 
 
 def test_semigroup_not_plane_branch(capsys):
@@ -299,7 +338,7 @@ def test_sweep_summary_lists_noted_violations(capsys, monkeypatch, row_timeouts)
 def test_sweep_timeout_keeps_worker_pool(capsys, monkeypatch):
     # Per-row deadlines run inside the workers, so --timeout honours --threads.
     pools = []
-    real_pool = germ.corpus.ProcessPoolExecutor
+    real_pool = concurrent.futures.ProcessPoolExecutor
 
     def spy(max_workers):
         pools.append(max_workers)
@@ -309,7 +348,7 @@ def test_sweep_timeout_keeps_worker_pool(capsys, monkeypatch):
             "--json", "--reproducible"]
     code, serial, _ = run(capsys, *args, "--threads", "1")
     assert code == 0
-    monkeypatch.setattr(germ.corpus, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     code, pooled, _ = run(capsys, *args, "--timeout", "60", "--threads", "2")
     assert code == 0
     assert pools == [2]

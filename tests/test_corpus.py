@@ -1,6 +1,10 @@
 """Sweep families, determinism, report rows."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +115,22 @@ def test_parallel_sweep_matches_serial():
         parallel = sweep(spec, threads=2)
         assert len(serial.rows) == count
         assert strip(serial.rows) == strip(parallel.rows)
+
+
+def test_import_loads_no_worker_pool():
+    # Only a sweep with threads > 1 forks, so a fresh interpreter that
+    # imports the package or its command line loads no multiprocessing.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys\n"
+             "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+             "for name in ('germ', 'germ.cli'):\n"
+             "    __import__(name)\n"
+             "    assert sys.modules['germ'].__file__.startswith(sys.argv[1])\n"
+             "    loaded = [m for m in pool if m in sys.modules]\n"
+             "    assert not loaded, (name, loaded)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, str(src)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sweep_rejects_zero_threads():

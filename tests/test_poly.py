@@ -1,14 +1,16 @@
 """Polynomial arithmetic, parsing and printing."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from germ import ParseError, Polynomial, UnknownVariableError, parse_polynomial
 
 VARS2 = ("x", "y")
+VARS3 = ("x", "y", "z")
 
 
 def P(text, vars=VARS2):
@@ -147,6 +149,41 @@ def test_normalization_no_zero_coefficients(p, q):
     for result in (p + q, p - q, p * q):
         assert all(c != 0 for c in result.terms.values())
         assert all(isinstance(c, Fraction) for c in result.terms.values())
+
+
+def _product(p, n):
+    result = Polynomial.constant(p.vars, 1)
+    for _ in range(n):
+        result = result * p
+    return result
+
+
+power_bases = st.sampled_from([VARS2, VARS3]).flatmap(
+    lambda vs: st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(vs)),
+                               st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                               max_size=4).map(lambda d: Polynomial(vs, d)))
+
+
+@given(power_bases, st.integers(0, 6))
+@example(Polynomial.zero(VARS2), 3)
+@example(P("x^2-3/2*y+1"), 0)
+@example(P("x+x^2"), 5)
+@example(P("1+x+x^2"), 4)  # compositions (2,0,2), (1,2,1) and (0,4,0) all give x^4
+@example(P("1+2x-2x^2"), 2)  # the x^2 coefficients 4 and -4 cancel
+def test_power_is_repeated_product(p, n):
+    power = p ** n
+    assert power == _product(p, n)
+    assert all(isinstance(c, Fraction) and c for c in power.terms.values())
+
+
+def test_power_of_a_trinomial_parses_fast():
+    # (x+y+z)^100 has the C(102, 2) = 5151 monomials of degree 100.
+    start = time.perf_counter()
+    p = parse_polynomial("(x+y+z)^100", VARS3)
+    assert time.perf_counter() - start < 1
+    assert len(p.terms) == 5151
+    assert p.coefficient((34, 33, 33)) == math.factorial(100) // (
+        math.factorial(34) * math.factorial(33) ** 2)
 
 
 def test_substitute():

@@ -98,6 +98,11 @@ def test_multiplicity_and_conductor_are_capped():
         semigroup_from_generators([2, cap + 3])
     with pytest.raises(ValueError, match=f"multiplicity {cap + 1} exceeds the bound {cap}"):
         semigroup_from_generators([cap + 1, cap + 2])
+    # minimizing builds a table of one entry per residue of the
+    # multiplicity, so every minimizing entry point checks it first
+    for minimizing in (minimal_generators, certify_plane_branch):
+        with pytest.raises(ValueError, match=f"multiplicity {cap + 1} exceeds"):
+            minimizing([cap + 1, cap + 2])
 
 
 def test_certify_2_3():
