@@ -30,7 +30,11 @@ class MonomialOverflowError(GermError):
 
 
 class ExpansionTooLargeError(GermError):
-    """A power in polynomial text would expand past the parser's term bound."""
+    """A power, product or sum in polynomial text would pass a parser bound.
+
+    The bounds are on the terms a power or product would make and on
+    the bits of its coefficients; see :mod:`germ.poly`.
+    """
 
 
 class ComputationBudgetExceeded(GermError):

@@ -257,74 +257,62 @@ def _coprime_skip(f: _Rec, g: _Rec) -> bool:
     return f.coefs[0] * g.lc != g.coefs[0] * f.lc
 
 
-def _staircase(gens: frozenset, nvars: int, memo: dict) -> tuple[int, int, tuple] | None:
+def _staircase(gens: Sequence[Monomial], nvars: int) -> tuple[int, int, tuple] | None:
     """Size, largest degree and top layer of the staircase of a monomial ideal.
 
     ``gens`` is any generating set; None when the staircase is infinite.
-    Recursive splitting: picking a variable ``x`` present in a mixed
-    generator, the staircase partitions into the part annihilated by
-    ``x`` (ideal plus ``x``) and ``x`` times the staircase of the colon
-    ideal, so it is infinite exactly when one part is.  Base case: the
-    smallest pure power of each variable spans a box, and a variable
-    without one leaves the staircase infinite.  The top layer lists the
-    staircase monomials of largest degree: the box's corner, or the
-    layer of the higher part (both parts on a tie; they are disjoint,
-    since only the second has ``x``).  The largest degree is -1 and the
-    layer empty when the staircase is empty.
+    Slicing on the last variable ``z``: with ``z^p`` the smallest pure
+    power of ``z`` (none leaves the staircase infinite), the staircase
+    is the disjoint union over ``c < p`` of ``z^c`` times the staircase
+    of the slice generated by the generators with ``z``-exponent at most
+    ``c``, that exponent dropped.  The slice changes only at such an
+    exponent, so each distinct slice is counted once for its run of
+    ``c``.  No slice contains 1, which would take a power ``z^e`` with
+    ``e <= c < p``, so each adds to the staircase.  The top layer lists the staircase monomials of largest
+    degree: the layers of the slices that reach it, each lifted at the
+    last ``c`` of its run.  The largest degree is -1 and the layer empty
+    when the staircase is empty.
     """
-    cached = memo.get(gens)
-    if cached is not None:
-        return cached
-    if any(not any(m) for m in gens):
-        return (0, -1, ())  # 1 lies in the ideal
-    mixed = [m for m in gens if sum(1 for e in m if e) > 1]
-    if not mixed:
-        powers: dict[int, int] = {}
-        for m in gens:
-            e = max(m)
-            i = m.index(e)
-            powers[i] = min(e, powers.get(i, e))
-        if len(powers) < nvars:
+    if nvars == 1:
+        if not gens:
             return None
-        corner = tuple(powers[i] - 1 for i in range(nvars))
-        result = (math.prod(powers.values()), sum(corner), (corner,))
-    else:
-        counts = [0] * nvars
-        for m in mixed:
-            for i, e in enumerate(m):
-                if e:
-                    counts[i] += 1
-        pivot = counts.index(max(counts))
-        unit = tuple(1 if i == pivot else 0 for i in range(nvars))
-        without = frozenset([m for m in gens if m[pivot] == 0] + [unit])
-        part_a = _staircase(without, nvars, memo)
-        if part_a is None:
+        e = min(m[0] for m in gens)
+        return (e, e - 1, ((e - 1,),)) if e else (0, -1, ())
+    last = nvars - 1
+    p = min((m[last] for m in gens if not any(m[:last])), default=None)
+    if p is None:
+        return None
+    gens = sorted(gens, key=lambda m: m[last])
+    count, top, layer = 0, -1, ()
+    cut: list[Monomial] = []  # the current slice
+    i = c = 0
+    while c < p:
+        while gens[i][last] <= c:
+            cut.append(gens[i][:last])
+            i += 1
+        run_end = gens[i][last]  # the pure power z^p keeps this at most p
+        part = _staircase(cut, last)
+        if part is None:
             return None
-        colon = frozenset(m[:pivot] + (max(m[pivot] - 1, 0),) + m[pivot + 1:] for m in gens)
-        part_b = _staircase(colon, nvars, memo)
-        if part_b is None:
-            return None
-        count_a, top_a, layer_a = part_a
-        count_b, top_b, layer_b = part_b
-        top_b = top_b + 1 if top_b >= 0 else -1
-        top = max(top_a, top_b)
-        layer = layer_a if top_a == top else ()
-        if top_b == top:
-            layer += tuple(m[:pivot] + (m[pivot] + 1,) + m[pivot + 1:] for m in layer_b)
-        result = (count_a + count_b, top, layer)
-    memo[gens] = result
-    return result
+        size, t, lay = part
+        count += (run_end - c) * size
+        t += run_end - 1
+        if t > top:
+            top, layer = t, ()
+        if t == top:
+            layer += tuple(m + (run_end - 1,) for m in lay)
+        c = run_end
+    return count, top, layer
 
 
 def _staircase_of(lm_exps: Sequence[Monomial], nvars: int) -> tuple[int, int, tuple] | None:
     """``(size, largest degree, top layer)`` of the staircase of a leading ideal.
 
-    The leading monomials are minimalized once here and the recursion
-    takes it from there: None while some variable still lacks a pure
-    power (the staircase is infinite), ``(0, -1, ())`` when the ideal
-    contains 1.
+    The leading monomials go to the recursion as they are: None while
+    some variable still lacks a pure power (the staircase is infinite),
+    ``(0, -1, ())`` when the ideal contains 1.
     """
-    return _staircase(frozenset(_minimalize(lm_exps)), nvars, {})
+    return _staircase(lm_exps, nvars)
 
 
 def _add_shifted(h: dict, a: int, s: int, rec: _Rec, corner_code: int,

@@ -36,11 +36,20 @@ Monomial = tuple[int, ...]
 _MAX_EXPONENT = (1 << 15) - 1
 
 #: Most compositions a power may walk (see :func:`_compositions`), and
-#: so most terms it may have; the parser rejects a larger power before
-#: expanding it.  The worst powers it accepts, ``(x+y+z)^445`` and
-#: ``(x+y)^32767`` (held there by :data:`_MAX_EXPONENT`), expand in
-#: about half a second each.
+#: so most terms it may have, and most term products a product may
+#: make; the parser rejects a larger power or product before expanding
+#: it.  The worst power it accepts, ``(x+y+z)^445``, expands in about
+#: half a second.
 _MAX_POWER_TERMS = 100_000
+
+#: Most bits (see :func:`_coeff_bits`) the parser lets the coefficients
+#: of a power, a product or the parsed polynomial reach; it rejects a
+#: larger power or product before expanding it.  A coefficient of at
+#: most this many bits has at most 4,215 decimal digits, below Python's
+#: default limit of 4,300 on converting an int to text, so every
+#: polynomial the parser accepts prints.  ``(x+y)^14000`` is the largest
+#: power of ``x+y`` it accepts.
+_MAX_COEFF_BITS = 14_000
 
 Scalar = int | Fraction
 
@@ -54,6 +63,30 @@ def _compositions(t: int, n: int) -> int:
     them, so this also bounds the terms the power can have.
     """
     return math.comb(n + t - 1, t - 1) if t else int(not n)
+
+
+def _coeff_bits(p: "Polynomial") -> int:
+    """Bits ``b`` with every numerator and denominator of ``p`` at most ``2**b``.
+
+    Over the common denominator ``D`` the coefficients are integers of
+    absolute sum ``S``, and ``b`` is the larger of ``(S-1).bit_length()``
+    and ``(D-1).bit_length()``.  Every coefficient of ``p**n`` is at most
+    ``S**n`` over ``D**n``, so ``n*b`` bounds the power, and a product is
+    bounded by the sum of the bits of its factors.  ``S-1`` keeps
+    ``x^32767`` (``S = 1``) at 0 bits.
+    """
+    den = 1
+    for c in p.terms.values():
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    total = sum(abs(c.numerator) * (den // c.denominator) for c in p.terms.values())
+    return max((total - 1).bit_length(), (den - 1).bit_length())
+
+
+def _check_coeff_bits(bits: int, what: str, pos: int) -> None:
+    if bits > _MAX_COEFF_BITS:
+        raise ExpansionTooLargeError(
+            f"{what} has coefficients of up to {bits} bits, past the bound "
+            f"{_MAX_COEFF_BITS} (at position {pos})")
 
 
 def _print_key(exps: Monomial):
@@ -429,16 +462,28 @@ class _Parser:
         return result
 
     def term(self) -> Polynomial:
+        """Product of the factors, each product bounded before it expands.
+
+        A product of polynomials with ``s`` and ``t`` terms makes ``s*t``
+        term products: past :data:`_MAX_POWER_TERMS` it is rejected, as
+        is one past :data:`_MAX_COEFF_BITS`.
+        """
         result = self.factor()
         while True:
             kind = self.peek().kind
             if kind == "*":
                 self.advance()
-                result = result * self.factor()
-            elif kind in self._FACTOR_START:
-                result = result * self.factor()
-            else:
+            elif kind not in self._FACTOR_START:
                 return result
+            pos = self.peek().pos
+            rhs = self.factor()
+            count = len(result.terms) * len(rhs.terms)
+            if count > _MAX_POWER_TERMS:
+                raise ExpansionTooLargeError(
+                    f"product makes {count} term products, past the bound "
+                    f"{_MAX_POWER_TERMS} (at position {pos})")
+            _check_coeff_bits(_coeff_bits(result) + _coeff_bits(rhs), "product", pos)
+            result = result * rhs
 
     def factor(self) -> Polynomial:
         tok = self.advance()
@@ -474,7 +519,8 @@ class _Parser:
         exponent n times the largest one in ``base``: past the machine
         bound it is rejected here, without being computed.  So is a
         power whose expansion walks more than :data:`_MAX_POWER_TERMS`
-        compositions.
+        compositions or whose coefficients may pass
+        :data:`_MAX_COEFF_BITS`.
         """
         if self.peek().kind != "^":
             return base
@@ -490,6 +536,7 @@ class _Parser:
             raise ExpansionTooLargeError(
                 f"power {tok.value} of a {len(base.terms)}-term polynomial walks {count} "
                 f"compositions, past the bound {_MAX_POWER_TERMS} (at position {tok.pos})")
+        _check_coeff_bits(tok.value * _coeff_bits(base), f"power {tok.value}", tok.pos)
         return base ** tok.value
 
 
@@ -497,8 +544,10 @@ def parse_polynomial(text: str, vars: Sequence[str]) -> Polynomial:
     """Parse ``text`` into a polynomial over the given variables.
 
     Raises :class:`~germ.errors.ParseError` with a character position on
-    malformed input and :class:`~germ.errors.UnknownVariableError` for
-    names outside the ring.
+    malformed input, :class:`~germ.errors.UnknownVariableError` for
+    names outside the ring, and
+    :class:`~germ.errors.ExpansionTooLargeError` for a power, product
+    or sum past the parser's bounds.
     """
     ring = Polynomial.zero(vars).vars  # runs variable validation
     parser = _Parser(_tokenize(text), ring)
@@ -506,5 +555,6 @@ def parse_polynomial(text: str, vars: Sequence[str]) -> Polynomial:
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"unexpected trailing input {trailing.value!r}", trailing.pos)
+    _check_coeff_bits(_coeff_bits(result), "the polynomial", trailing.pos)
     return result
 

@@ -108,6 +108,40 @@ def test_power_past_the_term_bound_is_rejected_before_expanding(capsys, monkeypa
         parse_polynomial("(x+y+z)^4", ("x", "y", "z"))
 
 
+def test_product_past_the_term_bound_is_rejected_before_expanding(capsys):
+    # (x+y+z)^60 has 1,891 terms, so the product makes 3,575,881 term
+    # products (multiplying them out took 21 s); the same polynomial
+    # written as one power is within the bound.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invariants", "--vars", "x,y,z", "--poly",
+                         "(x+y+z)^60*(x+y+z)^60")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert "makes 3575881 term products, past the bound 100000" in err
+    assert len(parse_polynomial("(x+y+z)^120", ("x", "y", "z")).terms) == 7381
+
+
+def test_coefficients_past_the_bit_bound_are_rejected_before_expanding(capsys):
+    # A constant base passes the exponent and term bounds whatever its
+    # exponent; (x+y)^15000 has a 14,994-bit binomial coefficient, past
+    # Python's 4,300-digit limit on printing an int.
+    for poly, bits in [("(2)^400000000+x", 400000000), ("(x+y)^15000", 15000),
+                       ("(2)^7000*(2)^7001", 14001), ("(1/2*x)^14001", 14001)]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invariants", "--vars", "x,y", "--poly", poly)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert f"coefficients of up to {bits} bits, past the bound 14000" in err
+    # a sum is bounded once it is parsed: its common denominator
+    # 2^7000*3^5000 has 14,925 bits
+    with pytest.raises(ExpansionTooLargeError, match="the polynomial has coefficients"):
+        parse_polynomial("(1/2)^7000+(1/3)^5000+x", ("x", "y"))
+    # the bound itself is accepted, and what is accepted prints
+    assert str(parse_polynomial("(x+y)^14000", ("x", "y"))).startswith("x^14000+14000*x^13999*y+")
+
+
 def test_usage_error_exits_2(capsys):
     code = main(["invariants", "--poly", "x"])
     capsys.readouterr()

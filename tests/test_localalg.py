@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -672,10 +673,10 @@ def test_codimension_examples():
     assert quotient_codimension(standard_basis([P("x")])) == INFINITE
 
 
-@pytest.mark.parametrize("nvars", [2, 3])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
 def test_staircase_count_matches_brute_enumeration(nvars):
     rng = random.Random(5 + nvars)
-    vars = ("x", "y", "z")[:nvars]
+    vars = ("x", "y", "z", "w")[:nvars]
     order = LocalOrder(vars)
     for draw in range(40):
         gens = {tuple(rng.randint(0, 6) for _ in range(nvars))
@@ -695,7 +696,7 @@ def test_staircase_count_matches_brute_enumeration(nvars):
         assert top + 1 == max((sum(m) for m in stairs), default=-1) + 1
         assert sorted(layer) == sorted(m for m in stairs if sum(m) == top)
         # the recursion itself takes redundant generators as they come
-        size, top, layer = localalg._staircase(frozenset(gens), nvars, {})
+        size, top, layer = localalg._staircase(list(gens), nvars)
         assert size == len(stairs)
         assert top == max((sum(m) for m in stairs), default=-1)
         assert sorted(layer) == sorted(m for m in stairs if sum(m) == top)
@@ -703,7 +704,44 @@ def test_staircase_count_matches_brute_enumeration(nvars):
         i = draw % nvars
         open_gens = [m for m in gens if any(e for j, e in enumerate(m) if j != i)]
         assert _staircase_of(open_gens, nvars) is None
-        assert localalg._staircase(frozenset(open_gens), nvars, {}) is None
+        assert localalg._staircase(open_gens, nvars) is None
+
+
+@pytest.mark.parametrize("gens,nvars,expected", [
+    # the pure power y^4 ends the slices at 4, but no generator is free
+    # of y: the slices below it are empty and the staircase is infinite
+    ([(3, 4), (0, 4)], 2, None),
+    ([], 2, None),
+    ([], 1, None),
+    ([(0, 0)], 2, (0, -1, ())),  # the unit ideal
+    ([(0,)], 1, (0, -1, ())),
+    ([(2, 1, 0), (0, 0, 0), (0, 0, 5)], 3, (0, -1, ())),
+    ([(3,), (5,)], 1, (3, 2, ((2,),))),
+])
+def test_staircase_edge_cases(gens, nvars, expected):
+    assert _staircase_of(gens, nvars) == expected
+
+
+def _power_of_maximal_ideal(nvars, degree):
+    """Exponent vectors of the monomials of ``degree`` in ``nvars`` variables."""
+    if nvars == 1:
+        return [(degree,)]
+    return [(k,) + rest for k in range(degree + 1)
+            for rest in _power_of_maximal_ideal(nvars - 1, degree - k)]
+
+
+@pytest.mark.parametrize("nvars,degree", [(3, 40), (5, 10), (8, 4), (30, 2)])
+def test_staircase_of_maximal_ideal_power_is_fast(nvars, degree):
+    # m^D has a staircase of C(nvars + D - 1, nvars) monomials, all those
+    # of degree below D, and its top layer is every monomial of degree D - 1.
+    gens = _power_of_maximal_ideal(nvars, degree)
+    start = time.perf_counter()
+    size, top, layer = _staircase_of(gens, nvars)
+    elapsed = time.perf_counter() - start
+    assert size == math.comb(nvars + degree - 1, nvars)
+    assert top == degree - 1
+    assert sorted(layer) == sorted(_power_of_maximal_ideal(nvars, degree - 1))
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("nvars", [29, 30])
