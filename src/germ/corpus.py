@@ -23,6 +23,14 @@ from .poly import Polynomial, parse_polynomial
 
 FAMILIES = ("fermat", "suspension", "quasihomogeneous_2var", "deformed_quasihomogeneous")
 
+#: Largest ``a_max``/``b_max`` and ``count`` a sweep accepts: a deformed
+#: germ draws from ``(a+3)*(b+3)`` candidate terms, ``quasihomogeneous_2var``
+#: makes one germ per ``(a, b)``, and a corpus is built in full before its
+#: first germ is evaluated (20,000 suspension germs at ``a, b <= 100`` take
+#: about 13 s and 50 MB).
+_MAX_AB = 100
+_MAX_COUNT = 20_000
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -44,10 +52,14 @@ class SweepSpec:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.a_min < 2 or self.b_min < 2 or self.a_max < self.a_min or self.b_max < self.b_min:
             raise ValueError("invalid a/b range")
+        if max(self.a_max, self.b_max) > _MAX_AB:
+            raise ValueError(f"a/b range past the bound {_MAX_AB}")
         if self.d_min < 2 or self.d_max < self.d_min:
             raise ValueError("invalid degree range")
         if self.count < 1:
             raise ValueError("count must be positive")
+        if self.count > _MAX_COUNT:
+            raise ValueError(f"count {self.count} exceeds the bound {_MAX_COUNT}")
         if self.seed < 0 or self.seed >= 1 << 64:
             raise ValueError("seed must fit in 64 bits")
         if self.suspension_power < 2:

@@ -7,9 +7,11 @@ broken by the reverse-lexicographic rule under a variable precedence.
 
 Internally every monomial is packed into a single integer with the
 total degree in the top bits and one 16-bit field per variable, a guard
-bit each.  This makes leading-term lookup an integer ``min`` and
-divisibility a couple of bit operations; exponents above 2**15 - 1
-raise :class:`~germ.errors.MonomialOverflowError` instead of wrapping.
+bit each.  This makes leading-term lookup an integer ``min``, and
+divisibility and the lcm of an s-pair a few bit operations; exponents
+above 2**15 - 1 raise :class:`~germ.errors.MonomialOverflowError`
+instead of wrapping.  Exponent tuples appear only where the staircase
+is counted and where a basis is read back.
 Basis elements are integer vectors kept in these packed records from
 the input to the final :class:`StandardBasis`; a warm start reuses them,
 and they become ``Polynomial`` objects only when ``generators`` is first
@@ -35,6 +37,7 @@ from .errors import ComputationBudgetExceeded, MonomialOverflowError
 from .poly import _MAX_EXPONENT, Monomial, Polynomial
 
 _FIELD_BITS = _MAX_EXPONENT.bit_length() + 1  # one guard bit per field
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 #: Return value of :func:`quotient_codimension` for non-isolated input.
 INFINITE = math.inf
@@ -100,13 +103,25 @@ class LocalOrder:
 
     def decode(self, code: int) -> Monomial:
         exps = [0] * len(self.variables)
-        mask = (1 << _FIELD_BITS) - 1
         for j, i in enumerate(self._perm):
-            exps[i] = (code >> (_FIELD_BITS * j)) & mask
+            exps[i] = (code >> (_FIELD_BITS * j)) & _FIELD_MASK
         return tuple(exps)
 
     def degree(self, code: int) -> int:
         return code >> self._deg_shift
+
+    def _lcm(self, a: int, b: int) -> int:
+        """Packed code of the lcm of two packed codes, their field-wise max.
+
+        On the exponent fields ``(a | guard) - b`` borrows across no guard
+        bit, and a field keeps its guard exactly when ``a`` wins it.
+        """
+        low = (1 << self._deg_shift) - 1
+        wins = ((((a & low) | self._guard) - (b & low)) & self._guard) >> (_FIELD_BITS - 1)
+        wins = (wins << (_FIELD_BITS - 1)) - wins  # the exponent bits of those fields
+        m = (a & wins) | (b & low & ~wins)
+        total = sum((m >> s) & _FIELD_MASK for s in range(0, self._deg_shift, _FIELD_BITS))
+        return (total << self._deg_shift) | m
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
         """``LESS``, ``EQUAL`` or ``GREATER`` as ``m1`` compares to ``m2``."""
@@ -131,20 +146,14 @@ class _Rec:
     germs left about 130 KB there.
     """
 
-    __slots__ = ("lm", "lc", "keys", "coefs", "ecart", "lm_exps")
+    __slots__ = ("lm", "lc", "keys", "coefs", "ecart")
 
-    def __init__(self, lm, lc, keys, coefs, ecart, lm_exps=None):
+    def __init__(self, lm, lc, keys, coefs, ecart):
         self.lm = lm
         self.lc = lc
         self.keys = keys
         self.coefs = coefs
         self.ecart = ecart
-        self.lm_exps = lm_exps
-
-    def full_terms(self) -> dict:
-        out = dict(zip(self.keys, self.coefs))
-        out[self.lm] = self.lc
-        return out
 
 
 def _content(terms: dict) -> int:
@@ -186,12 +195,11 @@ def _decode_poly(terms: dict, order: LocalOrder) -> Polynomial:
     return Polynomial(order.variables, {order.decode(k): Fraction(c) for k, c in terms.items()})
 
 
-def _make_rec(terms: dict, order: LocalOrder, with_pair_data: bool = False) -> _Rec:
+def _make_rec(terms: dict, order: LocalOrder) -> _Rec:
     codes = sorted(terms)
     lm = codes[0]
     return _Rec(lm, terms[lm], codes[1:], list(map(terms.get, codes[1:])),
-                order.degree(codes[-1]) - order.degree(lm),
-                order.decode(lm) if with_pair_data else None)
+                order.degree(codes[-1]) - order.degree(lm))
 
 
 def _beyond_codes(order: LocalOrder) -> int:
@@ -224,11 +232,12 @@ class StandardBasis:
 
     @cached_property
     def leading_ideal(self) -> tuple[Monomial, ...]:
-        return tuple(_minimalize([r.lm_exps for r in self._records]))
+        return tuple(_minimalize([self.order.decode(r.lm) for r in self._records]))
 
     @cached_property
     def generators(self) -> tuple[Polynomial, ...]:
-        return tuple(_decode_poly(r.full_terms(), self.order) for r in self._records)
+        return tuple(_decode_poly({**dict(zip(r.keys, r.coefs)), r.lm: r.lc}, self.order)
+                     for r in self._records)
 
 
 def _minimalize(gens: Sequence[Monomial]) -> list[Monomial]:
@@ -241,16 +250,17 @@ def _minimalize(gens: Sequence[Monomial]) -> list[Monomial]:
     return out
 
 
-def _coprime_skip(f: _Rec, g: _Rec) -> bool:
+def _coprime_skip(f: _Rec, g: _Rec, lcm_code: int) -> bool:
     """Sound product criterion for local orders.
 
     With coprime leading monomials the s-polynomial equals
     ``tail(f)*g - tail(g)*f``, which is a standard representation unless
     the leading terms of the two products cancel exactly.  Cancellation
     cannot happen in a global order but can locally, so the pair is only
-    skipped when it provably does not.
+    skipped when it provably does not.  The leading monomials are
+    coprime exactly when their lcm ``lcm_code`` is their product.
     """
-    if any(x and y for x, y in zip(f.lm_exps, g.lm_exps)):
+    if lcm_code != f.lm + g.lm:
         return False
     if not f.keys or not g.keys or f.keys[0] + g.lm != g.keys[0] + f.lm:
         return True
@@ -305,14 +315,14 @@ def _staircase(gens: Sequence[Monomial], nvars: int) -> tuple[int, int, tuple] |
     return count, top, layer
 
 
-def _staircase_of(lm_exps: Sequence[Monomial], nvars: int) -> tuple[int, int, tuple] | None:
+def _staircase_of(records: Sequence[_Rec], order: LocalOrder) -> tuple[int, int, tuple] | None:
     """``(size, largest degree, top layer)`` of the staircase of a leading ideal.
 
-    The leading monomials go to the recursion as they are: None while
-    some variable still lacks a pure power (the staircase is infinite),
-    ``(0, -1, ())`` when the ideal contains 1.
+    The one place where leading monomials are decoded for the
+    recursion: None while some variable still lacks a pure power (the
+    staircase is infinite), ``(0, -1, ())`` when the ideal contains 1.
     """
-    return _staircase(lm_exps, nvars)
+    return _staircase([order.decode(r.lm) for r in records], order.nvars)
 
 
 def _add_shifted(h: dict, a: int, s: int, rec: _Rec, corner_code: int,
@@ -487,7 +497,7 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
     number of s-pairs still queued.
     """
     guard = order._guard
-    heap: list = []  # (lcm degree, seq, i, j, lcm_exps, lcm_code)
+    heap: list = []  # (lcm degree, seq, i, j, lcm_code)
     pending: set[tuple[int, int]] = set()
     seq = 0
     corner_code = _beyond_codes(order)  # codes at or above it are truncated
@@ -500,7 +510,7 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
             lm = records[-1].lm
             outside = [k for k in outside if ((k | guard) - lm) & guard != guard]
         if not outside:
-            stairs = _staircase_of([r.lm_exps for r in records], order.nvars)
+            stairs = _staircase_of(records, order)
             if stairs is None:
                 return
             outside = [order.encode(m) for m in stairs[2]]
@@ -513,15 +523,15 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
             if r.keys and r.keys[-1] >= corner_code:
                 kept = dict(zip(r.keys[:bisect_left(r.keys, corner_code)], r.coefs))
                 kept[r.lm] = r.lc
-                records[t] = _make_rec(_strip(kept), order, with_pair_data=True)
+                records[t] = _make_rec(_strip(kept), order)
 
     def push_pairs(t: int) -> None:
         nonlocal seq
         lo = 0 if t >= start_pairs_from else start_pairs_from
+        lm = records[t].lm
         for i in range(lo, t):
-            lcm_exps = tuple(max(x, y) for x, y in
-                             zip(records[i].lm_exps, records[t].lm_exps))
-            heappush(heap, (sum(lcm_exps), seq, i, t, lcm_exps, order.encode(lcm_exps)))
+            lcm_code = order._lcm(records[i].lm, lm)
+            heappush(heap, (order.degree(lcm_code), seq, i, t, lcm_code))
             pending.add((i, t))
             seq += 1
 
@@ -530,26 +540,20 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
         push_pairs(t)
 
     while heap:
-        _, _, i, j, lcm_exps, lcm_code = heappop(heap)
+        _, _, i, j, lcm_code = heappop(heap)
         pending.discard((i, j))
         if lcm_code >= corner_code:
             continue  # the s-polynomial lives beyond the bound
         fi, gj = records[i], records[j]
-        if _coprime_skip(fi, gj):
+        if _coprime_skip(fi, gj, lcm_code):
             continue
         # Chain criterion: skip when some other leading monomial divides
         # the lcm and both companion pairs were already treated.
-        skip = False
-        for k, r in enumerate(records):
-            if k == i or k == j:
-                continue
-            if all(x <= y for x, y in zip(r.lm_exps, lcm_exps)):
-                a = (i, k) if i < k else (k, i)
-                b = (j, k) if j < k else (k, j)
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
+        lcm_guard = lcm_code | guard
+        if any((lcm_guard - r.lm) & guard == guard and k != i and k != j
+               and ((i, k) if i < k else (k, i)) not in pending
+               and ((j, k) if j < k else (k, j)) not in pending
+               for k, r in enumerate(records)):
             continue
         try:
             rem = _reduce(_spoly(fi, gj, lcm_code, order, corner_code), records, order,
@@ -558,7 +562,7 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
             exc.pairs_left = len(heap)
             raise
         if rem:
-            records.append(_make_rec(rem, order, with_pair_data=True))
+            records.append(_make_rec(rem, order))
             push_pairs(len(records) - 1)
             refresh_corner()
     return records
@@ -571,7 +575,7 @@ def _prepare_records(gens: Sequence[Polynomial], order: LocalOrder) -> list[_Rec
             raise ValueError("all generators must live in the ring of the order")
         terms = _encode_poly(p, order)
         if terms:
-            records.append(_make_rec(terms, order, with_pair_data=True))
+            records.append(_make_rec(terms, order))
     return records
 
 
@@ -641,5 +645,5 @@ def quotient_codimension(basis: StandardBasis) -> int | float:
     Finite exactly when every variable has a pure power in the leading
     ideal; returns :data:`INFINITE` otherwise.
     """
-    stairs = _staircase_of([r.lm_exps for r in basis._records], basis.order.nvars)
+    stairs = _staircase_of(basis._records, basis.order)
     return INFINITE if stairs is None else stairs[0]

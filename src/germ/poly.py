@@ -155,10 +155,6 @@ class Polynomial:
         exps = tuple(1 if v == name else 0 for v in vs)
         return cls(vs, {exps: 1})
 
-    @classmethod
-    def monomial(cls, vars: Sequence[str], exps: Sequence[int], coeff: Scalar = 1) -> "Polynomial":
-        return cls(vars, {tuple(exps): coeff})
-
     # -- basic queries -------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -342,24 +338,6 @@ class Polynomial:
         d = Fraction(degree)
         return all(sum(w * x for w, x in zip(ws, e)) == d for e in self.terms)
 
-    def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Substitute a polynomial for every variable of the ring.
-
-        All image polynomials must live in one common target ring.
-        """
-        missing = [v for v in self.vars if v not in images]
-        if missing:
-            raise ValueError(f"no image given for variables {missing}")
-        target = next(iter(images.values())).vars
-        result = Polynomial.zero(target)
-        for e, c in self.terms.items():
-            term = Polynomial.constant(target, c)
-            for v, k in zip(self.vars, e):
-                if k:
-                    term = term * images[v] ** k
-            result = result + term
-        return result
-
     # -- printing ------------------------------------------------------
 
     def __str__(self) -> str:
@@ -448,18 +426,23 @@ class _Parser:
         return tok
 
     def expr(self) -> Polynomial:
-        negate = False
-        if self.peek().kind == "-":
-            self.advance()
-            negate = True
-        result = self.term()
+        """Sum of the terms, each added in place into one dict, so a long
+        sum parses in time linear in its length."""
+        negate = self.peek().kind == "-"
         if negate:
-            result = -result
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            result = result + rhs if op == "+" else result - rhs
-        return result
+            self.advance()
+        out: dict[Monomial, Fraction] = {}
+        get = out.get
+        while True:
+            for e, c in self.term().terms.items():
+                v = get(e, _ZERO) + (-c if negate else c)
+                if v:
+                    out[e] = v
+                else:
+                    del out[e]
+            if self.peek().kind not in ("+", "-"):
+                return Polynomial._raw(self.vars, out)
+            negate = self.advance().kind == "-"
 
     def term(self) -> Polynomial:
         """Product of the factors, each product bounded before it expands.

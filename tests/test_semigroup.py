@@ -1,6 +1,7 @@
 """Numerical semigroups, plane-branch certificates, monomial curves."""
 
 import math
+from operator import mul
 
 import pytest
 
@@ -240,10 +241,15 @@ def test_equations_vanish_under_parameterization():
         if cert is None:
             continue
         eqs = monomial_curve_equations(cert, gens)
-        t = parse_polynomial("t", ["t"])
-        images = {f"u{i}": t ** b for i, b in enumerate(cert.generators)}
+        beta = {f"u{i}": b for i, b in enumerate(cert.generators)}
         for p in eqs.as_polynomials():
-            assert p.substitute(images) == 0
+            # u_j -> t^beta_j sends each monomial to a power of t, so the
+            # binomial vanishes exactly when its coefficients cancel and
+            # its two monomials have the same beta-weighted degree.
+            (m1, c1), (m2, c2) = p.terms.items()
+            weights = [beta[v] for v in p.vars]
+            assert c1 + c2 == 0
+            assert sum(map(mul, weights, m1)) == sum(map(mul, weights, m2))
 
 
 def space_branch_holds(mu, tau):
