@@ -73,7 +73,9 @@ def _portfolio_basis(gens: list[Polynomial], vars: tuple[str, ...]) -> StandardB
     staircase shape (and with it the cost of the completion) varies
     wildly between them.  The precedences are tried in rounds, one per
     deterministic step budget of :data:`_BUDGETS`.  Round 0 follows
-    :func:`_candidate_precedences`; each later round takes them in
+    :func:`_candidate_precedences`, building each order only when it is
+    first tried, so a germ that finishes in its first attempt builds
+    one; each later round takes them in
     ascending order of the s-pairs their run left queued when it ran
     out of budget in the round before, ties keeping the previous order.
     Fewer pairs left means a run nearer its end: on the paper's germ the
@@ -84,7 +86,7 @@ def _portfolio_basis(gens: list[Polynomial], vars: tuple[str, ...]) -> StandardB
     reproducible.  When every precedence fails the last budget, the germ
     is left undecided with :class:`ComputationBudgetExceeded`.
     """
-    orders = [LocalOrder(vars, p) for p in _candidate_precedences(vars)]
+    orders = (LocalOrder(vars, p) for p in _candidate_precedences(vars))
     for budget in _BUDGETS:
         failed = []
         for order in orders:
@@ -166,9 +168,11 @@ def suspend(f: Polynomial, k: int = 2) -> Polynomial:
 def find_positive_weights(f: Polynomial) -> WeightVector | None:
     """Positive weights making ``f`` weighted homogeneous, if any.
 
-    Tested in the given coordinates only: the support differences are
-    solved exactly, then a strictly positive point of the solution
-    space is searched by Fourier-Motzkin.  The result is normalized to
+    Tested in the given coordinates only: the integer differences of
+    the support exponents are solved exactly by fraction-free
+    elimination (:func:`germ.linalg.nullspace`), and only a nonzero
+    solution space is searched for a strictly positive point, by
+    Fourier-Motzkin.  The result is normalized to
     the smallest integer weights with gcd 1; uniform weights are
     preferred whenever the support is equidegree.
     """
@@ -180,7 +184,7 @@ def find_positive_weights(f: Polynomial) -> WeightVector | None:
     degrees = {sum(e) for e in support}
     if len(degrees) == 1:
         return (1,) * nvars, degrees.pop()
-    diffs = [[Fraction(a - b) for a, b in zip(e, first)] for e in support[1:]]
+    diffs = [[a - b for a, b in zip(e, first)] for e in support[1:]]
     basis = linalg.nullspace(diffs, nvars)
     if not basis:
         return None

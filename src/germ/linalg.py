@@ -1,25 +1,35 @@
 """Small exact linear algebra over the rationals.
 
-Only what the rest of the package needs: a nullspace basis by row
-reduction, and a Fourier-Motzkin search for a strictly positive vector
-in a rational subspace.
+Only what the rest of the package needs: a nullspace basis by
+fraction-free row reduction over the integers, and a Fourier-Motzkin
+search for a strictly positive vector in a rational subspace.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
+def nullspace(rows: Sequence[Sequence[int | Fraction]], ncols: int) -> list[Vector]:
     """Basis of the solution space of ``rows . x = 0``.
 
-    Gaussian elimination with exact rationals; the basis vectors follow
-    the usual free-column construction and are deterministic.
+    Gauss-Jordan elimination over the integers: each row is scaled by
+    the common denominator of its entries, a row is eliminated as
+    ``p*row - c*pivot_row`` and divided by the gcd of its entries, and
+    no ``Fraction`` is built until the basis is read off.  Each pivot
+    row ends as a nonzero multiple of the corresponding row of the
+    reduced row echelon form, which is unique, so the basis vectors
+    follow the usual free-column construction and are deterministic:
+    the same vectors that elimination over the rationals gives.
     """
-    matrix = [[Fraction(x) for x in row] for row in rows]
+    matrix = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        matrix.append([x.numerator * (den // x.denominator) for x in row])
     pivot_col_of_row: list[int] = []
     row_idx = 0
     for col in range(ncols):
@@ -31,12 +41,14 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
         if pivot is None:
             continue
         matrix[row_idx], matrix[pivot] = matrix[pivot], matrix[row_idx]
-        inv = 1 / matrix[row_idx][col]
-        matrix[row_idx] = [v * inv for v in matrix[row_idx]]
+        prow = matrix[row_idx]
+        p = prow[col]
         for r in range(len(matrix)):
-            if r != row_idx and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row_idx])]
+            c = matrix[r][col]
+            if r != row_idx and c:
+                row = [p * a - c * b for a, b in zip(matrix[r], prow)]
+                g = math.gcd(*row)
+                matrix[r] = [a // g for a in row] if g > 1 else row
         pivot_col_of_row.append(col)
         row_idx += 1
         if row_idx == len(matrix):
@@ -49,7 +61,7 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
         for r, col in enumerate(pivot_col_of_row):
-            vec[col] = -matrix[r][free]
+            vec[col] = Fraction(-matrix[r][free], matrix[r][col])
         basis.append(tuple(vec))
     return basis
 

@@ -17,6 +17,7 @@ insignificant, multiplication by juxtaposition is allowed)::
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -54,6 +55,23 @@ _MAX_COEFF_BITS = 14_000
 Scalar = int | Fraction
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+
+
+@functools.lru_cache(maxsize=256)
+def _check_ring(vs: tuple) -> tuple[str, ...]:
+    """``vs`` if it names a polynomial ring, else ``ValueError``.
+
+    Cached, so each ring is checked once; a rejection raises and is
+    never cached.
+    """
+    if not vs:
+        raise ValueError("a polynomial ring needs at least one variable")
+    if len(set(vs)) != len(vs):
+        raise ValueError("ring variables must be pairwise distinct")
+    for name in vs:
+        if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+            raise ValueError(f"invalid variable name {name!r}")
+    return vs
 
 
 def _compositions(t: int, n: int) -> int:
@@ -106,22 +124,22 @@ class Polynomial:
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Monomial, Scalar] | Iterable = ()):
         vs = tuple(vars)
-        if not vs:
-            raise ValueError("a polynomial ring needs at least one variable")
-        if len(set(vs)) != len(vs):
-            raise ValueError("ring variables must be pairwise distinct")
-        for name in vs:
-            if not _NAME_RE.fullmatch(name):
-                raise ValueError(f"invalid variable name {name!r}")
+        try:
+            vs = _check_ring(vs)
+        except TypeError:  # an unhashable name
+            raise ValueError(f"invalid variable names {vs!r}") from None
+        n = len(vs)
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Monomial, Fraction] = {}
         for exps, coeff in items:
             e = tuple(exps)
-            if len(e) != len(vs):
-                raise ValueError(f"exponent vector {e} does not match ring of {len(vs)} variables")
+            if len(e) != n:
+                raise ValueError(f"exponent vector {e} does not match ring of {n} variables")
             if any(not isinstance(x, int) or x < 0 for x in e):
                 raise ValueError(f"exponents must be natural numbers, got {e}")
-            c = clean.get(e, _ZERO) + Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            if e in clean:
+                c += clean[e]
             if c:
                 clean[e] = c
             else:
@@ -449,9 +467,12 @@ class _Parser:
 
         A product of polynomials with ``s`` and ``t`` terms makes ``s*t``
         term products: past :data:`_MAX_POWER_TERMS` it is rejected, as
-        is one past :data:`_MAX_COEFF_BITS`.
+        is one past :data:`_MAX_COEFF_BITS`.  The bits of each factor are
+        worked out once and summed along the product; the sum bounds
+        the bits of the product, so the product is walked again only
+        when the sum passes the bound.
         """
-        result = self.factor()
+        result, bits = self.factor()
         while True:
             kind = self.peek().kind
             if kind == "*":
@@ -459,16 +480,20 @@ class _Parser:
             elif kind not in self._FACTOR_START:
                 return result
             pos = self.peek().pos
-            rhs = self.factor()
+            rhs, rhs_bits = self.factor()
             count = len(result.terms) * len(rhs.terms)
             if count > _MAX_POWER_TERMS:
                 raise ExpansionTooLargeError(
                     f"product makes {count} term products, past the bound "
                     f"{_MAX_POWER_TERMS} (at position {pos})")
-            _check_coeff_bits(_coeff_bits(result) + _coeff_bits(rhs), "product", pos)
+            bits += rhs_bits
+            if bits > _MAX_COEFF_BITS:
+                bits = _coeff_bits(result) + _coeff_bits(rhs)
+                _check_coeff_bits(bits, "product", pos)
             result = result * rhs
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> tuple[Polynomial, int]:
+        """The next factor and a bound on its bits (see :func:`_coeff_bits`)."""
         tok = self.advance()
         if tok.kind == "nat":
             value = Fraction(tok.value)
@@ -480,22 +505,24 @@ class _Parser:
                 if den.value == 0:
                     raise ParseError("zero denominator", den.pos)
                 value = Fraction(tok.value, den.value)
-            return Polynomial.constant(self.vars, value)
+            const = Polynomial.constant(self.vars, value)
+            return const, _coeff_bits(const)
         if tok.kind == "name":
             if tok.value not in self.vars:
                 raise UnknownVariableError(tok.value, tok.pos)
-            return self._power(Polynomial.variable(self.vars, tok.value))
+            return self._power(Polynomial.variable(self.vars, tok.value), 0)
         if tok.kind == "(":
             inner = self.expr()
             closing = self.advance()
             if closing.kind != ")":
                 raise ParseError("expected ')'", closing.pos)
-            return self._power(inner)
+            return self._power(inner, _coeff_bits(inner))
         raise ParseError(f"expected a number, variable or '(', found {tok.value!r}"
                          if tok.kind != "end" else "unexpected end of input", tok.pos)
 
-    def _power(self, base: Polynomial) -> Polynomial:
-        """``base`` raised to the optional exponent, bounded before it expands.
+    def _power(self, base: Polynomial, bits: int) -> tuple[Polynomial, int]:
+        """``base`` (of ``bits`` bits) raised to the optional exponent,
+        bounded before it expands, and a bound on the power's bits.
 
         For each variable, the part of ``base**n`` of top degree in it is
         the n-th power of a nonzero polynomial, so the power holds an
@@ -506,7 +533,7 @@ class _Parser:
         :data:`_MAX_COEFF_BITS`.
         """
         if self.peek().kind != "^":
-            return base
+            return base, bits
         self.advance()
         tok = self.advance()
         if tok.kind != "nat":
@@ -519,8 +546,9 @@ class _Parser:
             raise ExpansionTooLargeError(
                 f"power {tok.value} of a {len(base.terms)}-term polynomial walks {count} "
                 f"compositions, past the bound {_MAX_POWER_TERMS} (at position {tok.pos})")
-        _check_coeff_bits(tok.value * _coeff_bits(base), f"power {tok.value}", tok.pos)
-        return base ** tok.value
+        bits *= tok.value
+        _check_coeff_bits(bits, f"power {tok.value}", tok.pos)
+        return base ** tok.value, bits
 
 
 def parse_polynomial(text: str, vars: Sequence[str]) -> Polynomial:

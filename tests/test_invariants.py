@@ -193,6 +193,23 @@ def test_cheap_germs_finish_in_the_probe_round(monkeypatch, germs):
         assert attempts == [(f.vars, germ.invariants._BUDGETS[0], "ok")], str(f)
 
 
+def test_probe_winner_builds_only_its_own_order(monkeypatch):
+    # Orders are built when their precedence is first tried, so a ladder
+    # germ that finishes in its first probe builds one, not six.
+    built = []
+    real = germ.invariants.LocalOrder
+
+    def spy(variables, precedence=None):
+        built.append(tuple(precedence))
+        return real(variables, precedence)
+
+    monkeypatch.setattr(germ.invariants, "LocalOrder", spy)
+    ring = ("x", "y", "z")
+    jac = jacobian_basis(P("x^10+y^10+z^10+(x+y+z)^11", ring))
+    assert built == [ring]
+    assert jac.order.precedence == ring
+
+
 def test_many_variable_germ_reaches_the_algebra():
     # The precedence portfolio must not enumerate all 12! orders first.
     vars = tuple(f"x{i}" for i in range(12))

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from germ.linalg import nullspace, strictly_positive_solution
 
@@ -69,3 +69,71 @@ def test_positive_solution_is_complete(point, rows):
     assert lam is not None
     for row in feasible:
         assert sum(c * v for c, v in zip(row, lam)) > 0
+
+def _reference_nullspace(rows, ncols):
+    """Gauss-Jordan over ``Fraction``: the reference for the integer elimination."""
+    matrix = [[Fraction(x) for x in row] for row in rows]
+    pivot_col_of_row = []
+    row_idx = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row_idx, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[row_idx], matrix[pivot] = matrix[pivot], matrix[row_idx]
+        inv = 1 / matrix[row_idx][col]
+        matrix[row_idx] = [v * inv for v in matrix[row_idx]]
+        for r in range(len(matrix)):
+            if r != row_idx and matrix[r][col]:
+                factor = matrix[r][col]
+                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row_idx])]
+        pivot_col_of_row.append(col)
+        row_idx += 1
+        if row_idx == len(matrix):
+            break
+    basis = []
+    for free in range(ncols):
+        if free in pivot_col_of_row:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, col in enumerate(pivot_col_of_row):
+            vec[col] = -matrix[r][free]
+        basis.append(tuple(vec))
+    return basis
+
+
+@st.composite
+def integer_systems(draw):
+    """Up to 8 integer rows in 1 to 4 unknowns, with zero and repeated rows."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    if draw(st.booleans()):
+        rows.append([0] * n)
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], n
+
+
+nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=12).filter(bool)
+
+
+@given(integer_systems(), st.lists(nonzero, min_size=1, max_size=8))
+@example(([[0, 0, 0], [1, -1, 0], [0, 0, 0]], 3), [Fraction(1, 2)])
+@example(([[2, 4], [1, 2], [2, 4]], 2), [Fraction(-3), Fraction(1, 7)])
+@example(([[1], [-3], [2], [0]], 1), [Fraction(5, 6)])
+@example(([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 1], [3, 6, 10, 13], [1, 0, 0, 0]], 4),
+         [Fraction(2, 3), Fraction(-1)])
+@settings(max_examples=200, deadline=None)
+def test_nullspace_matches_fraction_reference(system, scales):
+    # Integer elimination ends on multiples of the rows of the reduced
+    # row echelon form, which is unique: the basis is the reference's.
+    rows, n = system
+    basis = nullspace(rows, n)
+    assert basis == _reference_nullspace(rows, n)
+    assert all(type(x) is Fraction for vec in basis for x in vec)
+    assert nullspace([[Fraction(x) for x in row] for row in rows], n) == basis
+    # Scaling each row by a nonzero rational changes neither.
+    scaled = [[x * scales[i % len(scales)] for x in row] for i, row in enumerate(rows)]
+    assert nullspace(scaled, n) == basis

@@ -76,6 +76,35 @@ def test_parse_vars_validation():
         parse_polynomial("x", ["2bad"])
 
 
+@pytest.mark.parametrize("vars", [(), ("x", "x"), ("2bad",), ("x", "2bad")])
+def test_constructor_rejects_a_bad_ring_every_time(vars):
+    # Each ring is checked once and the verdict cached; a rejection
+    # must never be cached into an acceptance.
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            Polynomial(vars, {})
+
+
+@pytest.mark.parametrize("vars", [("x", 1), (None,), ("x", b"y"), ("x", ["y"])])
+def test_constructor_rejects_a_non_string_name(vars):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            Polynomial(vars, {})
+
+
+def test_constructor_normalizes_repeated_and_cancelling_exponents():
+    terms = [((1, 0), 2), ((0, 1), Fraction(1, 2)), ((1, 0), -2), ((2, 0), 1),
+             ([0, 1], Fraction(1, 2)), ((1, 0), Fraction(3, 4)), ((2, 0), -1)]
+    p = Polynomial(VARS2, iter(terms))
+    assert p.terms == {(0, 1): 1, (1, 0): Fraction(3, 4)}
+    assert list(p.terms) == [(0, 1), (1, 0)]
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert Polynomial(VARS2, [((1, 1), 1), ((1, 1), -1)]).is_zero()
+    for bad in ([((1,), 1)], [((1, -1), 1)], [((1.0, 0), 1)]):
+        with pytest.raises(ValueError):
+            Polynomial(VARS2, bad)
+
+
 # -- printing ----------------------------------------------------------
 
 
@@ -195,3 +224,9 @@ def test_long_sum_parses_in_linear_time():
     assert time.perf_counter() - start < 5
     assert len(p.terms) == 32_000
     assert P("x-y+2*y-x-y") == Polynomial.zero(VARS2)
+
+
+def test_product_bound_rechecks_the_exact_bits():
+    # The bits carried along a product only bound its exact bits: here
+    # they sum to 14,001 while 2^7000*(1/2)^7000*2 has 1, which passes.
+    assert parse_polynomial("(2)^7000*(1/2)^7000*2*x", VARS2) == P("2*x")
