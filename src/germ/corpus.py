@@ -72,17 +72,23 @@ _DEFORMATION_TERMS = 3
 _DEFORMATION_COEFFS = (-3, -2, -1, 1, 2, 3)
 
 
-def _deformations(a: int, b: int, rng: random.Random) -> Polynomial:
-    """x^a + y^b plus seeded terms of strictly higher weighted degree."""
-    vars = ("x", "y")
+def _deformations(a: int, b: int, rng: random.Random,
+                  cells: dict[tuple[int, int], list[tuple[int, int]]]) -> Polynomial:
+    """x^a + y^b plus seeded terms of strictly higher weighted degree.
+
+    ``cells`` maps ``(a, b)`` to its candidate exponents, the cells of
+    weighted degree above ``a*b`` in the ``(a+3) x (b+3)`` box; a
+    missing entry is built and added.
+    """
+    candidates = cells.get((a, b))
+    if candidates is None:
+        candidates = cells[a, b] = [(i, j) for i in range(a + 3) for j in range(b + 3)
+                                    if i * b + j * a > a * b]
     terms = {(a, 0): Fraction(1), (0, b): Fraction(1)}
-    candidates = [(i, j) for i in range(a + 3) for j in range(b + 3)
-                  if i * b + j * a > a * b and (i, j) not in terms]
     picks = rng.sample(candidates, min(rng.randint(1, _DEFORMATION_TERMS), len(candidates)))
     for i, j in picks:
-        c = rng.choice(_DEFORMATION_COEFFS)
-        terms[(i, j)] = terms.get((i, j), Fraction(0)) + c
-    return Polynomial(vars, terms)
+        terms[(i, j)] = Fraction(rng.choice(_DEFORMATION_COEFFS))
+    return Polynomial(("x", "y"), terms)
 
 
 def generate_corpus(spec: SweepSpec) -> list[Polynomial]:
@@ -99,8 +105,9 @@ def generate_corpus(spec: SweepSpec) -> list[Polynomial]:
                 for a in range(spec.a_min, spec.a_max + 1)
                 for b in range(spec.b_min, spec.b_max + 1)]
     rng = random.Random(spec.seed)
+    cells: dict[tuple[int, int], list[tuple[int, int]]] = {}  # no cell list outlives a corpus
     deformed = [_deformations(rng.randint(spec.a_min, spec.a_max),
-                              rng.randint(spec.b_min, spec.b_max), rng)
+                              rng.randint(spec.b_min, spec.b_max), rng, cells)
                 for _ in range(spec.count)]
     if spec.family == "deformed_quasihomogeneous":
         return deformed

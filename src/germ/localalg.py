@@ -223,12 +223,20 @@ class StandardBasis:
     The records stay its only representation: ``leading_ideal`` (the
     minimal generators of the leading-term ideal) is read off their
     leading monomials and ``generators`` are decoded to polynomials,
-    each on first access.
+    each on first access.  The completion also hands over what it knows
+    of the staircase of the leading ideal: ``_layer``, the packed codes
+    of its top layer (exact whenever the staircase is finite and not
+    empty, empty otherwise), and ``_size``, the number of its monomials
+    (:data:`INFINITE` when it is infinite), or None when a record with a
+    new leading monomial came after the last count.
     """
 
-    def __init__(self, records: list[_Rec], order: LocalOrder):
+    def __init__(self, records: list[_Rec], order: LocalOrder,
+                 layer: list[int], size: int | float | None):
         self.order = order
         self._records = records
+        self._layer = layer
+        self._size = size
 
     @cached_property
     def leading_ideal(self) -> tuple[Monomial, ...]:
@@ -464,13 +472,16 @@ def _spoly(f: _Rec, g: _Rec, lcm_code: int, order: LocalOrder,
 
 
 def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
-              step_limit: int | None = None) -> list[_Rec]:
+              step_limit: int | None = None, outside: Sequence[int] = (),
+              size: int | float | None = None) -> StandardBasis:
     """Buchberger completion with Mora normal forms.
 
     Pairs are processed by ascending lcm degree, ties by creation order,
     and each s-polynomial is reduced to its remainder in one call.
     Pairs among ``records[:start_pairs_from]`` are assumed to reduce to
-    zero already (warm start).
+    zero already (warm start); ``outside`` and ``size`` are then the top
+    layer (the largest-degree codes) and the size of their staircase, as
+    a :class:`StandardBasis` carries them.
 
     As soon as the current leading terms have a finite staircase, every
     later computation is truncated at its highest corner, the smallest
@@ -487,9 +498,13 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
     The highest corner is the largest code in the staircase's top
     layer, its monomials of largest degree.  The completion keeps that
     layer and removes the multiples of each new leading monomial from
-    it; the staircase recursion runs only at the first certification
-    and when the layer empties.  Whenever the corner moves, the records
-    whose smallest monomial lies at or beyond it are truncated and made
+    it, the warm start's appended records included; the staircase
+    recursion runs only when the layer is empty: at the start of a run
+    from scratch and whenever the layer empties.  Its count stays with
+    the layer while every new leading monomial is divisible by an old
+    one, and is dropped otherwise, so the returned basis carries it
+    exact or not at all.  Whenever the corner moves, the records whose
+    smallest monomial lies at or beyond it are truncated and made
     primitive again.
 
     A run that goes past ``step_limit`` raises
@@ -501,18 +516,18 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
     pending: set[tuple[int, int]] = set()
     seq = 0
     corner_code = _beyond_codes(order)  # codes at or above it are truncated
-    outside: list[int] = []  # the staircase's top layer: its largest-degree codes
     work = [0]
 
-    def refresh_corner() -> None:
-        nonlocal corner_code, outside
-        if outside:
-            lm = records[-1].lm
-            outside = [k for k in outside if ((k | guard) - lm) & guard != guard]
+    def refresh_corner(new: Sequence[_Rec]) -> None:
+        nonlocal corner_code, outside, size
+        for r in new:
+            outside = [k for k in outside if ((k | guard) - r.lm) & guard != guard]
         if not outside:
             stairs = _staircase_of(records, order)
             if stairs is None:
+                size = INFINITE
                 return
+            size = stairs[0]
             outside = [order.encode(m) for m in stairs[2]]
         # One past the highest corner; 0 when the staircase is empty.
         code = max(outside) + 1 if outside else 0
@@ -535,7 +550,11 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
             pending.add((i, t))
             seq += 1
 
-    refresh_corner()
+    new = records[start_pairs_from:]
+    if any(all(((r.lm | guard) - o.lm) & guard != guard for o in records[:start_pairs_from])
+           for r in new):
+        size = None  # a new leading monomial
+    refresh_corner(new)
     for t in range(len(records)):
         push_pairs(t)
 
@@ -562,10 +581,12 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
             exc.pairs_left = len(heap)
             raise
         if rem:
+            # No leading monomial of ``records`` divides the remainder's.
             records.append(_make_rec(rem, order))
+            size = None
             push_pairs(len(records) - 1)
-            refresh_corner()
-    return records
+            refresh_corner(records[-1:])
+    return StandardBasis(records, order, outside, size)
 
 
 def _prepare_records(gens: Sequence[Polynomial], order: LocalOrder) -> list[_Rec]:
@@ -591,7 +612,7 @@ def standard_basis(gens: Sequence[Polynomial], order: LocalOrder | None = None, 
         raise ValueError("need at least one nonzero generator")
     if order is None:
         order = LocalOrder(gens[0].vars)
-    return StandardBasis(_complete(_prepare_records(gens, order), 0, order, step_limit), order)
+    return _complete(_prepare_records(gens, order), 0, order, step_limit)
 
 
 def extend_standard_basis(basis: StandardBasis, extra: Sequence[Polynomial], *,
@@ -601,7 +622,10 @@ def extend_standard_basis(basis: StandardBasis, extra: Sequence[Polynomial], *,
     Pairs among the existing generators are not reconsidered, which
     makes this a cheap warm start when one generator is appended.  The
     completion starts from the records of ``basis``, each primitive
-    with a positive leading coefficient.
+    with a positive leading coefficient, and from the top layer and
+    count of its staircase: the staircase is counted again only if that
+    layer empties, and the count carries over while every new leading
+    monomial is divisible by an old one.
     """
     order = basis.order
     new = _prepare_records(extra, order)
@@ -610,7 +634,7 @@ def extend_standard_basis(basis: StandardBasis, extra: Sequence[Polynomial], *,
     records = list(basis._records)
     start = len(records)
     records.extend(new)
-    return StandardBasis(_complete(records, start, order, step_limit), order)
+    return _complete(records, start, order, step_limit, basis._layer, basis._size)
 
 
 def mora_normal_form(p: Polynomial, G: Sequence[Polynomial], order: LocalOrder | None = None) -> Polynomial:
@@ -643,7 +667,12 @@ def quotient_codimension(basis: StandardBasis) -> int | float:
     """Vector-space dimension of the local ring modulo the ideal.
 
     Finite exactly when every variable has a pure power in the leading
-    ideal; returns :data:`INFINITE` otherwise.
+    ideal; returns :data:`INFINITE` otherwise.  The count that the
+    completion carried is read back; the staircase is counted only when
+    a record with a new leading monomial came after the completion's
+    last count, and that count is kept with the basis.
     """
-    stairs = _staircase_of(basis._records, basis.order)
-    return INFINITE if stairs is None else stairs[0]
+    if basis._size is None:
+        stairs = _staircase_of(basis._records, basis.order)
+        basis._size = INFINITE if stairs is None else stairs[0]
+    return basis._size

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from germ import (EQUAL, GREATER, INFINITE, LESS, LocalOrder, MonomialOverflowEr
                   mora_normal_form, parse_polynomial, quotient_codimension, standard_basis,
                   wahl_tau_min)
 from germ import localalg
+from germ.corpus import SweepSpec, generate_corpus
+from germ.invariants import germ_invariants
 from germ.errors import ComputationBudgetExceeded
 from germ.localalg import _minimalize, _staircase_of
 
@@ -671,8 +674,10 @@ def test_truncation_cuts_inside_the_corner_degree(monkeypatch, text, vs, mu, tau
 
 def test_warm_ladder_recurses_only_when_the_top_layer_empties(monkeypatch):
     # Regression guard for the incremental corner: the warm Tjurina run
-    # of the ladder at d=10 runs the staircase recursion 8 times; run
-    # after every new basis element, it would run 20 times.
+    # of the ladder at d=10 runs the staircase recursion 7 times; run
+    # after every new basis element, it would run 20 times.  It starts
+    # from the top layer the Jacobian basis carries, which the germ's
+    # leading monomial x^10 leaves as it is, so the entry is not counted.
     calls = []
     staircase_of = localalg._staircase_of
 
@@ -685,8 +690,60 @@ def test_warm_ladder_recurses_only_when_the_top_layer_empties(monkeypatch):
     jac = standard_basis([f.partial_derivative(v) for v in vs], LocalOrder(vs))
     monkeypatch.setattr(localalg, "_staircase_of", spy)
     tj = extend_standard_basis(jac, [f])
-    assert len(calls) == 8
+    assert len(calls) == 7
     assert quotient_codimension(tj) == wahl_tau_min(10)
+
+
+def test_carried_count_is_the_recounted_staircase():
+    # Differential test of the staircase a completion hands to its basis:
+    # the count is absent or exactly the recounted one, and the top layer
+    # is the recounted one, for Jacobian and warm Tjurina bases alike.
+    vs = ("x", "y", "z")
+    germs = [(parse_polynomial(f"x^{d}+y^{d}+z^{d}+(x+y+z)^{d + 1}", vs), prec)
+             for d in range(3, 8) for prec in itertools.permutations(vs)]
+    germs += [(parse_polynomial(text, v), prec) for text, v in [
+        ("x^4+y^2*z^3+z^4+x^3*z+(x+y+z)^5", vs), ("x^5+y^2*z^3+z^5+x^3*z^2+(x+y+z)^6", vs),
+        ("x^3+y^7+2*x^2*y^3", V2)] for prec in itertools.permutations(v)]
+    spec = SweepSpec("deformed_quasihomogeneous", seed=3, count=40)
+    for family in ("deformed_quasihomogeneous", "suspension"):
+        germs += [(f, f.vars) for f in generate_corpus(replace(spec, family=family))]
+    seen = set()  # (tau == mu, the Tjurina count was carried), and absent counts
+    for f, prec in germs:
+        order = LocalOrder(f.vars, prec)
+        jac = standard_basis([f.partial_derivative(v) for v in f.vars], order)
+        tj = extend_standard_basis(jac, [f])
+        for basis in (jac, tj):
+            size, _, layer = _staircase_of(basis._records, order)
+            assert basis._size in (None, size)
+            seen.add(basis._size is None)
+            assert sorted(basis._layer) == sorted(order.encode(m) for m in layer)
+        mu, tau = quotient_codimension(jac), quotient_codimension(tj)
+        assert (jac._size, tj._size) == (mu, tau)
+        seen.add((tau == mu, tj._size is not None))
+    # tau = mu: the germ's leading monomial already lies in L(J); tau < mu:
+    # the Tjurina run shrinks the staircase and counts it again.
+    assert {(True, True), (False, True), True, False} <= seen
+    # A new leading monomial below the top layer: y leaves the layer
+    # {x^3} of (x^4, x*y, y^2) as it is but takes y out of the staircase.
+    basis = extend_standard_basis(standard_basis([P("x^4"), P("x*y"), P("y^2")]), [P("y")])
+    assert basis._size is None and quotient_codimension(basis) == 4
+
+
+def test_germ_invariants_counts_its_staircase_once(monkeypatch):
+    # x^3+y^4 is counted when its Jacobian run starts; the count rides
+    # on the basis into quotient_codimension, through the warm start
+    # (x^3 is a multiple of x^2) and into the Tjurina codimension.
+    calls = []
+    staircase_of = localalg._staircase_of
+
+    def spy(records, order):
+        calls.append(len(records))
+        return staircase_of(records, order)
+
+    monkeypatch.setattr(localalg, "_staircase_of", spy)
+    inv = germ_invariants(P("x^3+y^4"))
+    assert (inv.mu, inv.tau) == (6, 6)
+    assert calls == [2]
 
 
 def test_extend_standard_basis_trivial_cases():

@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Compare the benchmark of this checkout with a parent checkout, in pairs.
+
+Run from the repository root, for example::
+
+    python3 tools/bench_pairs.py --parent ../parent --workload small_germ_sweep --seeds 70-79
+
+For each seed of the range it runs ``germbench/run.py`` untraced once in
+the parent checkout and once in this one, as separate processes one
+after the other; the side that goes first alternates from seed to seed,
+so a drift of the shared machine's speed hits both sides alike.  Every
+run takes ``run_seconds`` from this checkout's ``BENCHMARK.json``.
+For every end-to-end metric it then prints each side's median and
+quartiles, the number of pairs (runs at the same seed) each side won,
+and whether a gain is shown: this checkout wins at least nine pairs in
+ten, and its median is better than the parent's by more than the
+distance between the parent's quartiles.
+
+Exit status: 0 when every run answered correctly, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+from bench_record import ROOT, run_once
+
+
+def seed_range(text: str) -> range:
+    first, _, last = text.partition("-")
+    seeds = range(int(first), int(last or first) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    """Medians, quartiles, pairs won and the gain verdict of one metric."""
+    sign = 1 if better == "higher" else -1
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    lost = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    q1, q3 = quartiles(parent)
+    gap = sign * (statistics.median(change) - statistics.median(parent))
+    return {"parent": (statistics.median(parent), q1, q3),
+            "change": (statistics.median(change), *quartiles(change)),
+            "won": won, "lost": lost,
+            "gain": 10 * won >= 9 * len(parent) and gap > q3 - q1}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description="Compare the benchmark with a parent checkout.")
+    p.add_argument("--parent", required=True, type=Path, help="root of the parent checkout")
+    p.add_argument("--workload", required=True, help="a workload of BENCHMARK.json")
+    p.add_argument("--seeds", required=True, type=seed_range, help="seed range, e.g. 70-79")
+    args = p.parse_args(argv)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.workload not in {w["name"] for w in declared["workloads"]}:
+        p.error(f"unknown workload {args.workload!r}")
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    all_ok = True
+    for n, seed in enumerate(args.seeds):
+        for side in ("parent", "change") if n % 2 == 0 else ("change", "parent"):
+            ok, metrics = run_once(args.workload, seed, declared["run_seconds"], 0, False,
+                                   sides[side])
+            all_ok &= ok
+            runs[side].append(metrics)
+            print(f"{args.workload} seed={seed} {side} {'ok' if ok else 'FAILED'}", flush=True)
+    if not all_ok:
+        print("some run failed or answered wrongly; no comparison")
+        return 1
+    print(f"{'metric':<14} {'parent median (q1/q3)':>30} {'change median (q1/q3)':>30}"
+          f" {'won c/p':>7} gain")
+    for m in declared["end_to_end"]:
+        name = m["name"]
+        r = compare([run[name] for run in runs["parent"]],
+                    [run[name] for run in runs["change"]], m["better"])
+        cells = ["{:.6g} ({:.6g}/{:.6g})".format(*r[side]) for side in ("parent", "change")]
+        print(f"{name:<14} {cells[0]:>30} {cells[1]:>30} {r['won']:>3}/{r['lost']:<3}"
+              f" {'yes' if r['gain'] else 'no'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

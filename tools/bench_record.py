@@ -32,7 +32,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN = ROOT / "germbench" / "run.py"
 
 
 def commit() -> str:
@@ -54,13 +53,15 @@ def machine() -> dict:
             "python": platform.python_version()}
 
 
-def run_once(workload: str, seed: int, seconds: int, trace: int, smoke: bool) -> tuple[bool, dict]:
-    """``(correct, {metric: value})`` of one ``germbench/run.py`` process."""
-    cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def run_once(workload: str, seed: int, seconds: int, trace: int, smoke: bool,
+             root: Path = ROOT) -> tuple[bool, dict]:
+    """``(correct, {metric: value})`` of one ``germbench/run.py`` process
+    of the checkout at ``root``."""
+    cmd = [sys.executable, str(root / "germbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     if smoke:
         cmd.append("--smoke")
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
