@@ -20,7 +20,9 @@ scale (fraction-free reduction with lazy content removal), so every
 verdict is exact.  Once the leading ideal has a finite staircase, every
 term smaller than its highest corner lies in the ideal and is dropped;
 record tails are sorted by code, so a shifted tail is cut there by one
-bisection.
+bisection.  Before that, a completion whose Mora snapshots compound
+their own coefficients moves to Lazard's homogenization, which needs
+no snapshot.
 """
 
 from __future__ import annotations
@@ -43,6 +45,16 @@ _FIELD_MASK = (1 << _FIELD_BITS) - 1
 INFINITE = math.inf
 
 LESS, EQUAL, GREATER = -1, 0, 1
+
+#: Multiplier size, in bits, past which a completion leaves Mora's
+#: snapshots for Lazard's homogenization.  Completions that finish stay
+#: below 500 bits before their corner; a snapshot chain that compounds
+#: its own coefficients doubles them every few dozen steps.
+_RUNAWAY_BITS = 4096
+
+
+class _Runaway(Exception):
+    """A Mora reduction before any corner whose coefficients compound."""
 
 
 class LocalOrder:
@@ -364,7 +376,8 @@ def _add_shifted(h: dict, a: int, s: int, rec: _Rec, corner_code: int,
 
 
 def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
-            work: list, step_limit: int | None) -> dict:
+            work: list, step_limit: int | None, degree: int | None = None,
+            bits_limit: int | None = None) -> dict:
     """Reduce the integer vector ``h`` by ``records`` to its remainder.
 
     Returns the remainder as a primitive integer vector, empty when
@@ -378,6 +391,14 @@ def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
     they are Mora's device for termination.  Below a certified corner
     only finitely many monomials remain and every step lowers the
     leading one, so plain reduction terminates.
+
+    With ``degree`` given the reduction is Lazard's instead: ``h`` is
+    read as homogeneous of that degree, a reducer qualifies only if its
+    ecart is at most ``degree`` minus the degree of the leading
+    monomial, no snapshot is taken, and the remainder is returned as
+    soon as the minimal-ecart reducer does not qualify.  A snapshot
+    reduction whose multiplier passes ``bits_limit`` bits raises
+    :class:`_Runaway`.
 
     The reduction is fraction-free: the active remainder is the integer
     vector ``h`` times the rational scale ``sn/sd``.  A step by a reducer
@@ -415,8 +436,12 @@ def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
                         break
         if best is None:
             return _strip(h)
-        if mora and best_ecart > (max(h) >> shift) - (lm_h >> shift):
-            reducers.append(_make_rec(_strip(dict(h)), order))
+        if mora:
+            top = max(h) >> shift if degree is None else degree
+            if best_ecart > top - (lm_h >> shift):
+                if degree is not None:
+                    return _strip(h)
+                reducers.append(_make_rec(_strip(dict(h)), order))
         # Work is metered in tail-term operations, the terms past the
         # corner included, plus a coefficient-size surcharge, so runaway
         # precedences fail their budget early.
@@ -436,6 +461,8 @@ def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
         den = sd * lc
         g = gcd(num, den)
         bits = (num // g).bit_length() + (den // g).bit_length()
+        if mora and bits_limit is not None and bits > bits_limit:
+            raise _Runaway
         work[0] += (bits >> 3) + len(best.keys) * ((bits >> 7) + (bits * bits >> 18))
         g = gcd(a, lc)
         m = lc // g
@@ -576,10 +603,13 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
             continue
         try:
             rem = _reduce(_spoly(fi, gj, lcm_code, order, corner_code), records, order,
-                          corner_code, work, step_limit)
+                          corner_code, work, step_limit, bits_limit=_RUNAWAY_BITS)
         except ComputationBudgetExceeded as exc:
             exc.pairs_left = len(heap)
             raise
+        except _Runaway:
+            # Only raised before a corner, so no record was truncated.
+            return _complete_homogeneous(records, order, work, step_limit)
         if rem:
             # No leading monomial of ``records`` divides the remainder's.
             records.append(_make_rec(rem, order))
@@ -587,6 +617,68 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
             push_pairs(len(records) - 1)
             refresh_corner(records[-1:])
     return StandardBasis(records, order, outside, size)
+
+
+def _complete_homogeneous(records: list[_Rec], order: LocalOrder, work: list,
+                          step_limit: int | None) -> StandardBasis:
+    """Lazard's completion: Buchberger's algorithm on the homogenized records.
+
+    A record stands for its homogenization by a new variable ``t``,
+    whose leading monomial is ``t^ecart`` times the record's.  The
+    homogenized order compares degree first and then the local order,
+    so it is a well-order: every reduction is plain, with no snapshot,
+    and the run terminates.  Setting ``t = 1`` in a Groebner basis of
+    the homogenized ideal gives a standard basis of the local ideal
+    (Greuel-Pfister, *A Singular Introduction to Commutative Algebra*,
+    sec. 1.7).  Remainders are stored dehomogenized, so a power of
+    ``t`` dividing one is dropped; that keeps the records in the
+    saturation of the homogenized ideal, whose dehomogenization is
+    still the local ideal.  All pairs are treated, the ones a Mora run
+    already reduced included, and no term is truncated.
+    """
+    guard = order._guard
+    beyond = _beyond_codes(order)
+    heap: list = []  # (pair degree, seq, i, j, lcm_code, larger ecart)
+    pending: set[tuple[int, int]] = set()
+    seq = 0
+
+    def push_pairs(t: int) -> None:
+        nonlocal seq
+        r = records[t]
+        for i in range(t):
+            lcm_code = order._lcm(records[i].lm, r.lm)
+            top = max(records[i].ecart, r.ecart)
+            heappush(heap, (order.degree(lcm_code) + top, seq, i, t, lcm_code, top))
+            pending.add((i, t))
+            seq += 1
+
+    for t in range(len(records)):
+        push_pairs(t)
+    while heap:
+        degree, _, i, j, lcm_code, top = heappop(heap)
+        pending.discard((i, j))
+        fi, gj = records[i], records[j]
+        if lcm_code == fi.lm + gj.lm and min(fi.ecart, gj.ecart) == 0:
+            continue  # coprime homogenized leading monomials
+        lcm_guard = lcm_code | guard
+        if any((lcm_guard - r.lm) & guard == guard and r.ecart <= top and k != i and k != j
+               and ((i, k) if i < k else (k, i)) not in pending
+               and ((j, k) if j < k else (k, j)) not in pending
+               for k, r in enumerate(records)):
+            continue
+        try:
+            rem = _reduce(_spoly(fi, gj, lcm_code, order, beyond), records, order,
+                          beyond, work, step_limit, degree)
+        except ComputationBudgetExceeded as exc:
+            exc.pairs_left = len(heap)
+            raise
+        if rem:
+            records.append(_make_rec(rem, order))
+            push_pairs(len(records) - 1)
+    stairs = _staircase_of(records, order)
+    if stairs is None:
+        return StandardBasis(records, order, [], INFINITE)
+    return StandardBasis(records, order, [order.encode(m) for m in stairs[2]], stairs[0])
 
 
 def _prepare_records(gens: Sequence[Polynomial], order: LocalOrder) -> list[_Rec]:
@@ -647,6 +739,12 @@ def mora_normal_form(p: Polynomial, G: Sequence[Polynomial], order: LocalOrder |
     the leading monomial of ``r``.  Nonzero results are normalized to
     primitive integer coefficients with positive leading coefficient.
     ``p`` and every reducer must live in the ring of ``order``.
+
+    When the snapshots compound their coefficients (see
+    :data:`_RUNAWAY_BITS`), membership is decided by completion instead:
+    ``p`` lies in the ideal exactly when adding it leaves the leading
+    ideal of a standard basis of ``G`` unchanged, and then the result is
+    zero.  Otherwise the reduction runs on without the bound.
     """
     if order is None:
         order = LocalOrder(p.vars)
@@ -656,7 +754,15 @@ def mora_normal_form(p: Polynomial, G: Sequence[Polynomial], order: LocalOrder |
     h = _encode_poly(p, order)
     if not h:
         return p
-    return _decode_poly(_reduce(h, reducers, order, _beyond_codes(order), [0], None), order)
+    beyond = _beyond_codes(order)
+    try:
+        return _decode_poly(_reduce(h, reducers, order, beyond, [0], None,
+                                    bits_limit=_RUNAWAY_BITS), order)
+    except _Runaway:
+        basis = _complete(list(reducers), 0, order)
+        if set(extend_standard_basis(basis, [p]).leading_ideal) == set(basis.leading_ideal):
+            return _decode_poly({}, order)
+    return _decode_poly(_reduce(h, reducers, order, beyond, [0], None), order)
 
 
 # ----------------------------------------------------------------------

@@ -524,9 +524,20 @@ NON_ISOLATED_CURVE = "(x*y+2*x*y^2-4*y^4+4*x^4*y^3)*(y+x^3*y^2)"
 
 
 def test_germ_past_the_work_ceiling_is_undecided(capsys, monkeypatch):
-    # This non-isolated curve germ fails every portfolio round up to the
-    # ceiling under both precedences, so it is reported undecided (null
-    # mu, tau and isolated, exit 1) instead of running on forever.
+    # The gradient of this curve germ generates (y) in the local ring.
+    # Mora's snapshots compound its coefficients until the completion
+    # moves to Lazard's homogenization, which proves it non-isolated.
+    code, out, err = run(capsys, "invariants", "--vars", "x,y", "--poly",
+                         NON_ISOLATED_CURVE, "--json", "--reproducible")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["mu"], data["tau"], data["isolated"]) == (None, None, False)
+    code, out, _ = run(capsys, "invariants", "--vars", "x,y", "--poly", NON_ISOLATED_CURVE)
+    assert code == 0 and "mu=infinite  tau=infinite" in out
+    # With the ceiling at the first round every run fails its budget
+    # before that, so the germ is reported undecided (null mu, tau and
+    # isolated, exit 1) instead of running on forever.
+    monkeypatch.setattr(germ.invariants, "_BUDGETS", germ.invariants._BUDGETS[:1])
     code, out, err = run(capsys, "invariants", "--vars", "x,y", "--poly",
                          NON_ISOLATED_CURVE, "--json", "--reproducible")
     assert code == 1
@@ -535,9 +546,7 @@ def test_germ_past_the_work_ceiling_is_undecided(capsys, monkeypatch):
     assert (data["mu"], data["tau"], data["isolated"]) == (None, None, None)
     assert data["timeout"] is False
     assert data["note"] == "budget exceeded"
-    # Text output never calls it infinite; the first round's ceiling
-    # reaches the same verdict in a fraction of the time.
-    monkeypatch.setattr(germ.invariants, "_BUDGETS", germ.invariants._BUDGETS[:1])
+    # Text output never calls an undecided germ infinite.
     code, out, err = run(capsys, "invariants", "--vars", "x,y", "--poly", NON_ISOLATED_CURVE)
     assert code == 1
     assert "budget exceeded" in out and "budget exceeded" in err

@@ -8,7 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from germ import (EQUAL, GREATER, INFINITE, LESS, LocalOrder, MonomialOverflowError,
                   Polynomial, extend_standard_basis, jet_quotient_dimension,
@@ -462,10 +462,10 @@ def test_cusp_family_agrees_across_precedences(monkeypatch, p, q, r):
             snapshots.append(terms)
         return make_rec(terms, order)
 
-    def reduce_spy(*args):
+    def reduce_spy(*args, **kw):
         reducing[0] = True
         try:
-            return reduce(*args)
+            return reduce(*args, **kw)
         finally:
             reducing[0] = False
 
@@ -557,11 +557,11 @@ def test_paper_germ_work_and_bases_are_pinned(monkeypatch, ring, jacobian, tjuri
     nonzero = []  # per run, whether each reduction left a remainder
     reduce = localalg._reduce
 
-    def spy(h, records, order, corner_code, work, step_limit):
+    def spy(h, records, order, corner_code, work, step_limit, **kw):
         if not counters or counters[-1] is not work:
             counters.append(work)
             nonzero.append([])
-        rem = reduce(h, records, order, corner_code, work, step_limit)
+        rem = reduce(h, records, order, corner_code, work, step_limit, **kw)
         nonzero[-1].append(bool(rem))
         return rem
 
@@ -590,10 +590,10 @@ def test_warm_start_records_are_primitive(monkeypatch):
     counters = []
     reduce = localalg._reduce
 
-    def spy(h, records, order, corner_code, work, step_limit):
+    def spy(h, records, order, corner_code, work, step_limit, **kw):
         if not counters or counters[-1] is not work:
             counters.append(work)
-        return reduce(h, records, order, corner_code, work, step_limit)
+        return reduce(h, records, order, corner_code, work, step_limit, **kw)
 
     f = P("x^3+y^7+2*x^2*y^3")
     grad = [f.partial_derivative(v) for v in V2]
@@ -618,13 +618,13 @@ def test_incremental_corner_is_the_exact_corner(monkeypatch):
     checked = []
     reduce = localalg._reduce
 
-    def spy(h, records, order, corner_code, work, step_limit):
+    def spy(h, records, order, corner_code, work, step_limit, **kw):
         stairs = _staircase_of(records, order)
         exact = (localalg._beyond_codes(order) if stairs is None
                  else max((order.encode(m) for m in stairs[2]), default=-1) + 1)
         assert corner_code == exact
         checked.append(corner_code)
-        return reduce(h, records, order, corner_code, work, step_limit)
+        return reduce(h, records, order, corner_code, work, step_limit, **kw)
 
     monkeypatch.setattr(localalg, "_reduce", spy)
     vs = ("x", "y", "z")
@@ -654,9 +654,9 @@ def test_truncation_cuts_inside_the_corner_degree(monkeypatch, text, vs, mu, tau
     bounds = []
     reduce = localalg._reduce
 
-    def spy(h, records, order, corner_code, work, step_limit):
+    def spy(h, records, order, corner_code, work, step_limit, **kw):
         bounds.append(corner_code)
-        return reduce(h, records, order, corner_code, work, step_limit)
+        return reduce(h, records, order, corner_code, work, step_limit, **kw)
 
     monkeypatch.setattr(localalg, "_reduce", spy)
     f = parse_polynomial(text, vs)
@@ -868,6 +868,12 @@ exps2 = st.tuples(st.integers(0, 4), st.integers(0, 4))
 @given(st.dictionaries(exps2, coeffs, min_size=1, max_size=4),
        st.dictionaries(exps2, coeffs, min_size=1, max_size=4))
 @settings(max_examples=30, deadline=None)
+# Two draws that stalled under Mora's snapshots: the completion of the
+# ideal (y), and a normal form of the combination below.
+@example({(1, 1): 1, (1, 2): 2, (0, 4): -4, (4, 3): 4},
+         {(0, 1): -2, (3, 2): 2, (4, 4): -2, (3, 1): -2})
+@example({(2, 0): -4, (2, 1): 1, (1, 4): -4, (4, 4): -1},
+         {(2, 0): -5, (1, 3): -2, (4, 1): 4})
 def test_basis_members_reduce_to_zero(d1, d2):
     gens = [Polynomial(V2, d1), Polynomial(V2, d2)]
     gens = [g for g in gens if g]
@@ -879,3 +885,76 @@ def test_basis_members_reduce_to_zero(d1, d2):
     # random ideal elements also reduce to zero
     combo = gens[0] * P("x+y^2") + (gens[-1] * P("3+x*y") if len(gens) > 1 else 0)
     assert mora_normal_form(combo, list(sb.generators)) == 0
+
+def test_compounding_snapshots_move_the_completion_to_lazard(monkeypatch):
+    # The ideal (y) of the local ring: the snapshots of Mora's first
+    # reduction compound their coefficients (56,770 bits after 10 s), so
+    # the completion moves to Lazard's homogenization and finishes.
+    lazard = []
+    homogeneous = localalg._complete_homogeneous
+
+    def spy(records, order, work, step_limit):
+        lazard.append(len(records))
+        return homogeneous(records, order, work, step_limit)
+
+    monkeypatch.setattr(localalg, "_complete_homogeneous", spy)
+    gens = [P("x*y+2*x*y^2-4*y^4+4*x^4*y^3"), P("-2*y+2*x^3*y^2-2*x^4*y^4-2*x^3*y")]
+    sb = standard_basis(gens)
+    assert lazard and sb.leading_ideal == ((0, 1),)
+    assert quotient_codimension(sb) == INFINITE and sb._layer == []
+    for p in gens + [P("y"), P("y+x^9*y")]:
+        assert mora_normal_form(p, list(sb.generators)) == 0
+    assert mora_normal_form(P("x"), list(sb.generators)) == P("x")
+
+
+def test_compounding_normal_form_decides_membership_by_completion(monkeypatch):
+    # Mora's reduction of this ideal member by a standard basis compounds
+    # its snapshots; adding it leaves the leading ideal as it is, so it
+    # reduces to zero.
+    completions = []
+    complete = localalg._complete
+
+    def spy(records, *args):
+        completions.append(len(records))
+        return complete(records, *args)
+
+    gens = [P("-4*x^2+x^2*y-4*x*y^4-x^4*y^4"), P("-5*x^2-2*x*y^3+4*x^4*y")]
+    sb = standard_basis(gens)
+    monkeypatch.setattr(localalg, "_complete", spy)
+    combo = gens[0] * P("x+y^2") + gens[1] * P("3+x*y")
+    assert mora_normal_form(combo, list(sb.generators)) == 0
+    assert len(completions) == 2  # the reducers alone, then with the member
+
+
+def test_lazard_completion_matches_mora(monkeypatch):
+    # Differential test of the fallback: forced from the first snapshot
+    # reduction on, Lazard's completion finds the same leading ideal and
+    # codimension as Mora's, carries the recounted staircase, and its
+    # basis reduces every generator to zero.
+    V3 = ("x", "y", "z")
+    germs = [(P(t), V2) for t in ("x^3+y^7+2*x^2*y^3", "x^2*y^2+x^5", "x^2*y^2+y^3*x^3")]
+    germs += [(P(t, V3), prec) for t in ("x^2+y^3+z^7+x*y*z", "x^2*y+y^2*z+z^3*x", "x^2+y^2*z")
+              for prec in itertools.permutations(V3)]
+    ideals = [([f.partial_derivative(v) for v in f.vars], prec, f) for f, prec in germs]
+    rng = random.Random(5)
+    for _ in range(40):
+        gens = [Polynomial(V2, {(rng.randint(0, 4), rng.randint(0, 4)): rng.choice((-3, -1, 2, 5))
+                                for _ in range(rng.randint(1, 4))}) for _ in range(2)]
+        ideals.append((gens, V2, None))
+    mora = [(standard_basis(gens, LocalOrder(gens[0].vars, prec)), f) for gens, prec, f in ideals]
+    mora = [(jac, f and extend_standard_basis(jac, [f])) for jac, f in mora]
+    monkeypatch.setattr(localalg, "_RUNAWAY_BITS", -1)
+    moved = 0
+    for (gens, prec, f), (jac, tj) in zip(ideals, mora):
+        order = LocalOrder(gens[0].vars, prec)
+        lazard = standard_basis(gens, order)
+        pairs = [(jac, lazard)] + ([(tj, extend_standard_basis(lazard, [f]))] if f else [])
+        for old, new in pairs:
+            assert set(new.leading_ideal) == set(old.leading_ideal)
+            assert quotient_codimension(new) == quotient_codimension(old)
+            stairs = _staircase_of(new._records, order)
+            assert new._size == (INFINITE if stairs is None else stairs[0])
+            assert sorted(new._layer) == sorted(order.encode(m) for m in (stairs or (0, 0, ()))[2])
+        assert all(mora_normal_form(g, list(lazard.generators), order) == 0 for g in gens)
+        moved += len(lazard._records) != len(jac._records)
+    assert moved >= 10
