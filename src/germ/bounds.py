@@ -6,10 +6,12 @@ ratio bounds are cross-multiplied, never evaluated in floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 #: Catalog order is fixed; JSON and CSV output follow it.
 BOUND_IDS = (
@@ -48,18 +50,32 @@ def _verdict(applicable: bool, margin: Fraction | None, strict: bool) -> BoundVe
 
 @dataclass(frozen=True)
 class BoundReport:
-    """The catalog's verdicts on one input, keyed and ordered by ``BOUND_IDS``."""
+    """The catalog's verdicts on one input, keyed and ordered by ``BOUND_IDS``.
 
-    verdicts: dict[str, BoundVerdict]
+    ``verdicts`` is a read-only view, because :func:`bound_report` hands
+    one report to every caller with the same arguments.
+    """
+
+    verdicts: Mapping[str, BoundVerdict]
+
+    def __post_init__(self):
+        object.__setattr__(self, "verdicts", MappingProxyType(dict(self.verdicts)))
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; the plain dict rebuilds it.
+        return BoundReport, (dict(self.verdicts),)
 
 
+@functools.lru_cache(maxsize=1024)
 def bound_report(mu: int, tau: int, n: int, p_g: int | None = None,
                  multiplicity: int | None = None) -> BoundReport:
     """Evaluate every catalog bound on one (mu, tau) pair.
 
     ``n`` is the germ dimension, so the ambient variable count is
     ``n + 1``.  Bounds needing the geometric genus or the multiplicity
-    report no verdict when those are not supplied.
+    report no verdict when those are not supplied.  Calls with equal
+    arguments share one report (a sweep repeats few distinct pairs), so
+    its verdicts cannot be changed; an invalid input raises every time.
     """
     if n < 1:
         raise ValueError("germ dimension must be at least 1")
@@ -67,6 +83,11 @@ def bound_report(mu: int, tau: int, n: int, p_g: int | None = None,
         raise ValueError("tau must be at least 1")
     if tau > mu:
         raise ValueError(f"invalid invariant pair: tau={tau} exceeds mu={mu}")
+    if p_g is not None and p_g < 0:
+        raise ValueError(f"geometric genus must be non-negative, got {p_g}")
+    if multiplicity is not None and multiplicity < 2:
+        # tau >= 1 makes the germ singular, so its multiplicity is at least 2.
+        raise ValueError(f"multiplicity of a singular germ is at least 2, got {multiplicity}")
     N = n + 1
     pg_known = p_g is not None
     # For a space branch the quarter bound mu - tau < mu/4 is the 4/3

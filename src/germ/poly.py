@@ -406,15 +406,15 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit also takes '²' and '١'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             out.append(_Token("nat", int(text[i:j]), i))
             i = j
-        elif ch.isalpha():
+        elif ch.isascii() and ch.isalpha():
             j = i
-            while j < n and (text[j].isalnum()):
+            while j < n and text[j].isascii() and text[j].isalnum():
                 j += 1
             out.append(_Token("name", text[i:j], i))
             i = j

@@ -1,13 +1,15 @@
 """Closed-form invariants and the bound catalog."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import germ.bounds
-from germ import (BOUND_IDS, bound_report, kerner_nemethi_constant, stirling2,
+from germ import (BOUND_IDS, BoundReport, bound_report, kerner_nemethi_constant, stirling2,
                   superisolated_invariants, wahl_tau_min)
 
 
@@ -170,9 +172,46 @@ def test_bound_report_margin_sign_iff_holds():
 
 
 def test_bound_report_validation():
-    with pytest.raises(ValueError):
-        bound_report(3, 4, 1)
-    with pytest.raises(ValueError):
-        bound_report(4, 0, 1)
-    with pytest.raises(ValueError):
-        bound_report(4, 4, 0)
+    invalid = [
+        ((3, 4, 1), {}, "exceeds mu"),
+        ((4, 0, 1), {}, "tau must be at least 1"),
+        ((4, 4, 0), {}, "dimension must be at least 1"),
+        ((100, 90, 2), {"p_g": -5}, "genus must be non-negative"),
+        ((100, 90, 2), {"multiplicity": 1}, "multiplicity of a singular germ"),
+        ((100, 90, 2), {"p_g": 12, "multiplicity": -3}, "multiplicity of a singular germ"),
+    ]
+    for args, kwargs, message in invalid:
+        for _ in range(2):  # a failed call is not cached: the repeat raises too
+            with pytest.raises(ValueError, match=message):
+                bound_report(*args, **kwargs)
+    # the edge values stay valid
+    assert bound_report(100, 90, 2, p_g=0, multiplicity=2).verdicts["tomari"].applicable
+
+
+def test_bound_report_is_shared_and_read_only():
+    report = bound_report(30, 20, 2, p_g=3)
+    assert bound_report(30, 20, 2, p_g=3) is report
+    assert bound_report(30, 20, 2) is not report
+    with pytest.raises(TypeError):
+        report.verdicts["liu"] = report.verdicts["positivity"]
+    with pytest.raises(TypeError):
+        del report.verdicts["liu"]
+    assert tuple(report.verdicts) == BOUND_IDS
+
+
+def test_bound_report_pickles_and_copies_equal():
+    report = bound_report(2288, 1660, 2, p_g=364)
+    for other in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report),
+                  BoundReport(dict(report.verdicts))):
+        assert other == report
+        assert tuple(other.verdicts) == BOUND_IDS
+        with pytest.raises(TypeError):
+            other.verdicts["liu"] = None
+    assert report != bound_report(2288, 1661, 2, p_g=364)
+
+
+def test_bound_report_copies_its_input():
+    verdicts = dict(bound_report(10, 9, 1).verdicts)
+    report = BoundReport(verdicts)
+    verdicts.clear()
+    assert tuple(report.verdicts) == BOUND_IDS

@@ -76,6 +76,12 @@ def test_parse_error_exits_1(capsys):
     code, _, err = run(capsys, "invariants", "--vars", "x,y", "--poly", "x^+1")
     assert code == 1
     assert "error" in err
+    # a non-ASCII digit is a syntax error at its position like any other
+    for poly in ["x^\u00b2+y^3", "x^\u0661\u0662+y^3"]:
+        code, out, err = run(capsys, "invariants", "--vars", "x,y", "--poly", poly)
+        assert code == 1
+        assert out == ""
+        assert "unexpected character" in err and "(at position 2)" in err
 
 
 def test_power_past_the_exponent_bound_is_rejected_before_expanding(capsys):
@@ -189,6 +195,10 @@ def test_usage_error_exits_2(capsys):
             (["semigroup", "--generators", "4,6"], "gcd 2"),
             (["semigroup", "--generators", "2,40000001"], "conductor 40000000 exceeds the bound"),
             (["bounds", "--mu", "5", "--tau", "6", "--n", "2"], "tau=6 exceeds mu=5"),
+            (["bounds", "--mu", "100", "--tau", "90", "--n", "2", "--pg", "-5"],
+             "geometric genus must be non-negative, got -5"),
+            (["bounds", "--mu", "100", "--tau", "90", "--n", "2", "--pg", "12",
+              "--multiplicity", "-3"], "multiplicity of a singular germ is at least 2, got -3"),
             (["constants", "--n", "1", "--r", "1"], "need n >= 2 and r >= 1"),
             (["constants", "--n", "3000", "--r", "3000"], "need n + r <= 2000"),
             (["tau-min", "--degree", "1"], "degree must be at least 2")]:

@@ -80,6 +80,14 @@ def test_quasihomogeneous_sweep_rows():
     for row in result.rows:
         assert row.mu == row.tau
     assert result.violations == ()
+    # x^a+y^b and x^b+y^a have equal (mu, tau, n), so their rows share one report
+    by_pair = {}
+    for row in result.rows:
+        by_pair.setdefault((row.mu, row.tau, row.n), []).append(row.report)
+    shared = [reports for reports in by_pair.values() if len(reports) > 1]
+    assert len(shared) == 10
+    for first, *rest in shared:
+        assert all(report is first for report in rest)
 
 
 def test_deformed_sweep_satisfies_the_catalog():
@@ -108,13 +116,16 @@ def test_rows_are_ordered_and_timed():
 
 
 def test_parallel_sweep_matches_serial():
-    strip = lambda rows: [(r.index, r.germ, r.mu, r.tau) for r in rows]
+    strip = lambda rows: [(r.index, r.germ, r.mu, r.tau, r.report) for r in rows]
     for count in (8, 200):  # 200 germs reach the workers in batches of 3 rows
         spec = SweepSpec(family="deformed_quasihomogeneous", seed=5, count=count)
         serial = sweep(spec, threads=1)
         parallel = sweep(spec, threads=2)
         assert len(serial.rows) == count
         assert strip(serial.rows) == strip(parallel.rows)
+        # a report that crossed the worker pipe is still read-only
+        with pytest.raises(TypeError):
+            parallel.rows[0].report.verdicts["liu"] = None
 
 
 def test_import_loads_no_worker_pool():

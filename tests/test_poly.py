@@ -62,6 +62,19 @@ def test_parse_syntax_errors_carry_position(text):
     assert err.value.position >= 0
 
 
+@pytest.mark.parametrize("text, position", [
+    ("x^\u00b2", 2),          # superscript two: str.isdigit, but not int()
+    ("x^\u0661\u0662", 2),   # Arabic-Indic 12: int() would read it as 12
+    ("3\u0661*x", 1),
+    ("x\u00e9", 1),           # a name is ASCII letters and digits
+    ("\u00e9+x", 0),
+])
+def test_parse_non_ascii_is_a_syntax_error(text, position):
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        P(text)
+    assert err.value.position == position
+
+
 def test_parse_unknown_variable():
     with pytest.raises(UnknownVariableError):
         P("x+w")
