@@ -12,14 +12,18 @@ from __future__ import annotations
 import random
 import signal
 import time
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .bounds import BOUND_IDS, BoundReport, bound_report
 from .errors import ComputationBudgetExceeded
 from .invariants import WeightVector, germ_invariants, suspend
-from .poly import Polynomial, parse_polynomial
+from .poly import _ONE, Polynomial, parse_polynomial
 
 FAMILIES = ("fermat", "suspension", "quasihomogeneous_2var", "deformed_quasihomogeneous")
 
@@ -27,7 +31,7 @@ FAMILIES = ("fermat", "suspension", "quasihomogeneous_2var", "deformed_quasihomo
 #: germ draws from ``(a+3)*(b+3)`` candidate terms, ``quasihomogeneous_2var``
 #: makes one germ per ``(a, b)``, and a corpus is built in full before its
 #: first germ is evaluated (20,000 suspension germs at ``a, b <= 100`` take
-#: about 13 s and 50 MB).
+#: about 1 s, at a peak RSS of about 50 MB).
 _MAX_AB = 100
 _MAX_COUNT = 20_000
 
@@ -67,28 +71,63 @@ class SweepSpec:
 
 
 #: A deformation adds between 1 and ``_DEFORMATION_TERMS`` terms, each
-#: with a coefficient drawn from ``_DEFORMATION_COEFFS``.
+#: with a coefficient drawn from ``_DEFORMATION_COEFFS``; the germs share
+#: these ``Fraction`` objects.
 _DEFORMATION_TERMS = 3
-_DEFORMATION_COEFFS = (-3, -2, -1, 1, 2, 3)
+_DEFORMATION_COEFFS = tuple(map(Fraction, (-3, -2, -1, 1, 2, 3)))
+_XY = ("x", "y")
+
+
+class _Cells(Sequence):
+    """Candidate exponents of ``(a, b)``, indexed arithmetically.
+
+    The cells ``(i, j)`` of the ``(a+3) x (b+3)`` box of weighted degree
+    ``i*b + j*a`` above ``a*b``, in row-major order: row ``i`` runs from
+    ``j = max(0, (a*b - i*b)//a + 1)`` to ``b + 2``, so the row starts
+    locate a cell by one bisection and no cell is stored (the lists of a
+    corpus at ``a, b <= 100`` held about 48M tuples).  ``random.sample``
+    reads a population only through ``len``, indexing and iteration, so
+    it draws the same cells as from the list.
+    """
+
+    __slots__ = ("_a", "_b", "_starts", "_len")
+
+    def __init__(self, a: int, b: int):
+        self._a, self._b = a, b
+        self._starts = array("q", accumulate((b + 3 - self._first(i) for i in range(a + 3)),
+                                             initial=0))
+        self._len = self._starts.pop()
+
+    def _first(self, i: int) -> int:
+        a, b = self._a, self._b
+        return max(0, (a * b - i * b) // a + 1)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        if not 0 <= k < self._len:  # iteration stops at the IndexError
+            raise IndexError("cell index out of range")
+        i = bisect_right(self._starts, k) - 1
+        return i, self._first(i) + k - self._starts[i]
 
 
 def _deformations(a: int, b: int, rng: random.Random,
-                  cells: dict[tuple[int, int], list[tuple[int, int]]]) -> Polynomial:
+                  cells: dict[tuple[int, int], _Cells]) -> Polynomial:
     """x^a + y^b plus seeded terms of strictly higher weighted degree.
 
-    ``cells`` maps ``(a, b)`` to its candidate exponents, the cells of
-    weighted degree above ``a*b`` in the ``(a+3) x (b+3)`` box; a
-    missing entry is built and added.
+    ``cells`` maps ``(a, b)`` to its candidate exponents; a missing
+    entry is built and added.  The terms are distinct and nonzero by
+    construction, so the germ skips the validating constructor.
     """
     candidates = cells.get((a, b))
     if candidates is None:
-        candidates = cells[a, b] = [(i, j) for i in range(a + 3) for j in range(b + 3)
-                                    if i * b + j * a > a * b]
-    terms = {(a, 0): Fraction(1), (0, b): Fraction(1)}
+        candidates = cells[a, b] = _Cells(a, b)
+    terms = {(a, 0): _ONE, (0, b): _ONE}
     picks = rng.sample(candidates, min(rng.randint(1, _DEFORMATION_TERMS), len(candidates)))
     for i, j in picks:
-        terms[(i, j)] = Fraction(rng.choice(_DEFORMATION_COEFFS))
-    return Polynomial(("x", "y"), terms)
+        terms[(i, j)] = rng.choice(_DEFORMATION_COEFFS)
+    return Polynomial._raw(_XY, terms)
 
 
 def generate_corpus(spec: SweepSpec) -> list[Polynomial]:
@@ -105,7 +144,7 @@ def generate_corpus(spec: SweepSpec) -> list[Polynomial]:
                 for a in range(spec.a_min, spec.a_max + 1)
                 for b in range(spec.b_min, spec.b_max + 1)]
     rng = random.Random(spec.seed)
-    cells: dict[tuple[int, int], list[tuple[int, int]]] = {}  # no cell list outlives a corpus
+    cells: dict[tuple[int, int], _Cells] = {}  # no cell index outlives a corpus
     deformed = [_deformations(rng.randint(spec.a_min, spec.a_max),
                               rng.randint(spec.b_min, spec.b_max), rng, cells)
                 for _ in range(spec.count)]

@@ -8,16 +8,18 @@ is isolated exactly when its Milnor number is finite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import ComputationBudgetExceeded, NotAGermError
 from .localalg import (INFINITE, LocalOrder, StandardBasis, extend_standard_basis,
                        quotient_codimension, standard_basis)
-from .poly import Polynomial
+from .poly import _ONE, Polynomial
 
 #: Normalized positive weight vector and weighted degree.
 WeightVector = tuple[tuple[int, ...], int]
@@ -66,6 +68,13 @@ def _candidate_precedences(vars: tuple[str, ...]) -> list[tuple[str, ...]]:
 _BUDGETS = (15_625, 1_000_000, 4_000_000, 16_000_000)
 
 
+@functools.lru_cache(maxsize=256)
+def _order(vars: tuple[str, ...], precedence: tuple[str, ...]) -> LocalOrder:
+    """The one shared ``LocalOrder`` of a ring and precedence; an order
+    is never mutated, so every basis may hold the same one."""
+    return LocalOrder(vars, precedence)
+
+
 def _portfolio_basis(gens: list[Polynomial], vars: tuple[str, ...]) -> StandardBasis:
     """Standard basis under the cheapest variable precedence.
 
@@ -74,10 +83,11 @@ def _portfolio_basis(gens: list[Polynomial], vars: tuple[str, ...]) -> StandardB
     wildly between them.  The precedences are tried in rounds, one per
     deterministic step budget of :data:`_BUDGETS`.  Round 0 follows
     :func:`_candidate_precedences`, building each order only when it is
-    first tried, so a germ that finishes in its first attempt builds
-    one; each later round takes them in
-    ascending order of the s-pairs their run left queued when it ran
-    out of budget in the round before, ties keeping the previous order.
+    first tried (once per ring and precedence, :func:`_order`), so a
+    germ that finishes in its first attempt builds at most one; each
+    later round takes them in ascending order of the s-pairs their run
+    left queued when it ran out of budget in the round before, ties
+    keeping the previous order.
     Fewer pairs left means a run nearer its end: on the paper's germ the
     winner (y,x,z) leaves 43 at 15,625 units and the other five 61 to 92
     in every ring order.  Runs restart at the larger budget rather than
@@ -86,7 +96,7 @@ def _portfolio_basis(gens: list[Polynomial], vars: tuple[str, ...]) -> StandardB
     reproducible.  When every precedence fails the last budget, the germ
     is left undecided with :class:`ComputationBudgetExceeded`.
     """
-    orders = (LocalOrder(vars, p) for p in _candidate_precedences(vars))
+    orders = (_order(vars, p) for p in _candidate_precedences(vars))
     for budget in _BUDGETS:
         failed = []
         for order in orders:
@@ -158,26 +168,50 @@ def suspend(f: Polynomial, k: int = 2) -> Polynomial:
     while name in f.vars:
         counter += 1
         name = f"z{counter}"
-    new_vars = f.vars + (name,)
+    # Every lifted term has exponent 0 in the fresh variable, so the new
+    # term collides with none and the result skips the validating
+    # constructor; the coefficients are shared with ``f``.
     terms = {e + (0,): c for e, c in f.terms.items()}
-    exps = (0,) * len(f.vars) + (k,)
-    terms[exps] = terms.get(exps, Fraction(0)) + 1
-    return Polynomial(new_vars, terms)
+    terms[(0,) * len(f.vars) + (k,)] = _ONE
+    return Polynomial._raw(f.vars + (name,), terms)
 
 
 def find_positive_weights(f: Polynomial) -> WeightVector | None:
     """Positive weights making ``f`` weighted homogeneous, if any.
 
-    Tested in the given coordinates only: the integer differences of
-    the support exponents are solved exactly by fraction-free
-    elimination (:func:`germ.linalg.nullspace`), and only a nonzero
-    solution space is searched for a strictly positive point, by
-    Fourier-Motzkin.  The result is normalized to
-    the smallest integer weights with gcd 1; uniform weights are
-    preferred whenever the support is equidegree.
+    Tested in the given coordinates only, and normalized to the smallest
+    integer weights with gcd 1.  When every variable ``x_i`` has a pure
+    power ``x_i^p_i`` in the support, the weights are forced: each
+    ``w_i*p_i`` is the degree, so ``w_i = lcm(p)/p_i``, the degree is
+    ``lcm(p)`` and the gcd of the weights is 1; one pass then checks
+    every term.  Other germs go through :func:`_eliminated_weights`.
     """
     if f.is_zero():
         raise ValueError("weights of the zero polynomial are undefined")
+    powers = [0] * len(f.vars)
+    for e in f.terms:
+        d = sum(e)
+        if d and d in e:  # a pure power: one exponent is the whole degree
+            powers[e.index(d)] = d
+    if not all(powers):
+        return _eliminated_weights(f)
+    degree = math.lcm(*powers)
+    weights = tuple(degree // p for p in powers)
+    if all(sum(map(mul, weights, e)) == degree for e in f.terms):
+        return weights, degree
+    return None
+
+
+def _eliminated_weights(f: Polynomial) -> WeightVector | None:
+    """Positive weights of a nonzero ``f`` by elimination.
+
+    The integer differences of the support exponents are solved exactly
+    by fraction-free elimination (:func:`germ.linalg.nullspace`), and
+    only a nonzero solution space is searched for a strictly positive
+    point, by Fourier-Motzkin.  The result is normalized as in
+    :func:`find_positive_weights`; uniform weights are preferred
+    whenever the support is equidegree.
+    """
     support = sorted(f.terms)
     nvars = len(f.vars)
     first = support[0]

@@ -64,7 +64,7 @@ class LocalOrder:
     defaults to the ring's own variable sequence.
     """
 
-    __slots__ = ("variables", "precedence", "_perm", "_deg_shift", "_guard")
+    __slots__ = ("variables", "precedence", "_shifts", "_deg_shift", "_low", "_guard")
 
     def __init__(self, variables: Sequence[str], precedence: Sequence[str] | None = None):
         vs = tuple(variables)
@@ -76,8 +76,10 @@ class LocalOrder:
         # Field j of a packed code holds the exponent of precedence[j];
         # the most significant exponent field is the last precedence
         # variable, so equal-degree codes compare reverse-lex correctly.
-        self._perm = tuple(vs.index(name) for name in prec)
+        # ``_shifts[i]`` is the offset of the field of ring variable i.
+        self._shifts = tuple(_FIELD_BITS * prec.index(name) for name in vs)
         self._deg_shift = _FIELD_BITS * len(vs)
+        self._low = (1 << self._deg_shift) - 1  # the exponent fields
         guard = 0
         for j in range(len(vs)):
             guard |= 1 << (_FIELD_BITS - 1 + _FIELD_BITS * j)
@@ -101,22 +103,23 @@ class LocalOrder:
         """Pack an exponent vector; smaller codes are greater monomials."""
         if len(exps) != len(self.variables):
             raise ValueError(f"ring mismatch: expected {len(self.variables)} exponents, got {len(exps)}")
-        code = 0
-        total = 0
-        for j, i in enumerate(self._perm):
-            e = exps[i]
+        shifts = self._shifts
+        code = total = 0
+        for i, e in enumerate(exps):
             if e < 0:
                 raise ValueError("exponents must be natural numbers")
             if e > _MAX_EXPONENT:
                 raise MonomialOverflowError(f"exponent {e} exceeds the machine bound {_MAX_EXPONENT}")
-            code |= e << (_FIELD_BITS * j)
+            code |= e << shifts[i]
             total += e
         return (total << self._deg_shift) | code
 
     def decode(self, code: int) -> Monomial:
-        exps = [0] * len(self.variables)
-        for j, i in enumerate(self._perm):
-            exps[i] = (code >> (_FIELD_BITS * j)) & _FIELD_MASK
+        # Plain loops: for two or three fields a generator's frame costs
+        # more than the fields themselves.
+        exps = []
+        for s in self._shifts:
+            exps.append(code >> s & _FIELD_MASK)
         return tuple(exps)
 
     def degree(self, code: int) -> int:
@@ -128,11 +131,13 @@ class LocalOrder:
         On the exponent fields ``(a | guard) - b`` borrows across no guard
         bit, and a field keeps its guard exactly when ``a`` wins it.
         """
-        low = (1 << self._deg_shift) - 1
+        low = self._low
         wins = ((((a & low) | self._guard) - (b & low)) & self._guard) >> (_FIELD_BITS - 1)
         wins = (wins << (_FIELD_BITS - 1)) - wins  # the exponent bits of those fields
         m = (a & wins) | (b & low & ~wins)
-        total = sum((m >> s) & _FIELD_MASK for s in range(0, self._deg_shift, _FIELD_BITS))
+        total = 0
+        for s in self._shifts:
+            total += m >> s & _FIELD_MASK
         return (total << self._deg_shift) | m
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
@@ -192,15 +197,9 @@ def _strip(terms: dict) -> dict:
 
 def _encode_poly(p: Polynomial, order: LocalOrder) -> dict:
     """Convert to primitive integer coefficients keyed by packed code."""
-    if not p.terms:
-        return {}
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    out = {}
-    for e, c in p.terms.items():
-        out[order.encode(e)] = c.numerator * (den // c.denominator)
-    return _strip(out)
+    den = math.lcm(*[c.denominator for c in p.terms.values()])
+    return _strip({order.encode(e): c.numerator * (den // c.denominator)
+                   for e, c in p.terms.items()})
 
 
 def _decode_poly(terms: dict, order: LocalOrder) -> Polynomial:

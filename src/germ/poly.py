@@ -361,28 +361,29 @@ class Polynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
+        text = ""
         for e, c in sorted(self.terms.items(), key=lambda kv: _print_key(kv[0])):
-            factors = [f"{v}^{k}" if k > 1 else v for v, k in zip(self.vars, e) if k]
-            mag = -c if c < 0 else c
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
+            num, den = c.numerator, c.denominator
+            sign = "+"
+            if num < 0:
+                sign, num = "-", -num
+            mono = "*".join([f"{v}^{k}" if k > 1 else v for v, k in zip(self.vars, e) if k])
+            mag = str(num) if den == 1 else f"{num}/{den}"
+            if not mono:
+                text += sign + mag
+            elif num == 1 and den == 1:
+                text += sign + mono
             else:
-                body = str(mag) + "*" + "*".join(factors)
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += sign + body
-        return text
+                text += sign + mag + "*" + mono
+        return text[1:] if text[0] == "+" else text
 
     def __repr__(self) -> str:
         return f"Polynomial({self.vars!r}, {str(self)!r})"
 
 
+# Shared coefficients: a Fraction is immutable, so every polynomial may hold them.
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,27 @@ def test_corpus_is_pinned(family, seed):
 
 def test_acceptance_corpus_is_pinned():
     assert _digest(selftest.acceptance_corpus()) == ACCEPTANCE_DIGEST
+
+
+#: A corpus at the caps of ``a`` and ``b``, and the digest of its germs.
+CAPS_SPEC = SweepSpec("suspension", seed=0, a_max=100, b_max=100, count=2000)
+CAPS_DIGEST = "e4169306eed7e2f548704cedf45d235df7047667f29f64c2caef68c0bae4ffdb"
+
+
+def test_corpus_at_the_caps_is_pinned():
+    assert _digest(generate_corpus(CAPS_SPEC)) == CAPS_DIGEST
+
+
+def test_corpus_at_the_caps_stays_small():
+    # The candidate cells are indexed, not listed: one list of cells per
+    # (a, b) drawn took this corpus to a peak of about 176 MB.
+    tracemalloc.start()
+    try:
+        generate_corpus(CAPS_SPEC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_fermat_sweep_rows():

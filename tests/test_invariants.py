@@ -1,15 +1,17 @@
 """Milnor/Tjurina numbers, suspension, weight detection."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import germ.invariants
 from germ import (INFINITE, NotAGermError, Polynomial, SweepSpec, find_positive_weights,
                   generate_corpus, germ_invariants, jet_quotient_dimension, milnor_number,
                   parse_polynomial, suspend, tjurina_number)
 from germ.errors import ComputationBudgetExceeded
-from germ.invariants import _candidate_precedences, jacobian_basis
+from germ.invariants import _candidate_precedences, _eliminated_weights, jacobian_basis
 
 V2 = ("x", "y")
 
@@ -195,7 +197,8 @@ def test_cheap_germs_finish_in_the_probe_round(monkeypatch, germs):
 
 def test_probe_winner_builds_only_its_own_order(monkeypatch):
     # Orders are built when their precedence is first tried, so a ladder
-    # germ that finishes in its first probe builds one, not six.
+    # germ that finishes in its first probe builds one, not six; later
+    # germs of the ring reuse it.
     built = []
     real = germ.invariants.LocalOrder
 
@@ -204,10 +207,13 @@ def test_probe_winner_builds_only_its_own_order(monkeypatch):
         return real(variables, precedence)
 
     monkeypatch.setattr(germ.invariants, "LocalOrder", spy)
+    germ.invariants._order.cache_clear()
     ring = ("x", "y", "z")
     jac = jacobian_basis(P("x^10+y^10+z^10+(x+y+z)^11", ring))
     assert built == [ring]
     assert jac.order.precedence == ring
+    assert jacobian_basis(P("x^3+y^4+z^5", ring)).order is jac.order
+    assert built == [ring]
 
 
 def test_many_variable_germ_reaches_the_algebra():
@@ -265,6 +271,32 @@ def test_weights_are_certified():
         assert all(w >= 1 for w in weights)
         assert math.gcd(*weights) == 1
         assert P(text).is_weighted_homogeneous(weights, degree)
+
+
+@st.composite
+def pure_power_germs(draw):
+    # Pure powers in every variable, some terms of their forced weighted
+    # degree and, at times, a term off it.
+    n = draw(st.integers(1, 3))
+    powers = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    degree = math.lcm(*powers)
+    weights = [degree // p for p in powers]
+    box = list(itertools.product(*[range(p + 1) for p in powers]))
+    on_degree = [e for e in box if sum(w * x for w, x in zip(weights, e)) == degree]
+    terms = {tuple(p if i == j else 0 for j in range(n)): 1 for i, p in enumerate(powers)}
+    for e in draw(st.lists(st.sampled_from(on_degree), max_size=4)):
+        terms[e] = draw(st.integers(-3, 3).filter(bool))
+    for e in draw(st.lists(st.sampled_from(box), max_size=2)):
+        terms[e] = draw(st.integers(-3, 3).filter(bool))
+    return Polynomial(("x", "y", "z")[:n], terms)
+
+
+@given(pure_power_germs())
+@example(P("x^2+x^3+y^2"))  # two pure powers of x: no weights
+@example(P("x^3+y^3+x*y^2"))  # equidegree: uniform weights
+@settings(max_examples=150, deadline=None)
+def test_forced_weights_match_elimination(f):
+    assert find_positive_weights(f) == _eliminated_weights(f)
 
 
 def test_saito_direction_on_samples():

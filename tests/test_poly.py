@@ -129,6 +129,12 @@ def test_print_canonical_order_and_integers():
     assert str(P("1/2*x*y")) == "1/2*x*y"
 
 
+def test_print_negative_rational_coefficients():
+    assert str(P("-3/2*x^2+y")) == "y-3/2*x^2"
+    assert str(P("-1/2+x")) == "-1/2+x"
+    assert str(P("x-1/3*y")) == "x-1/3*y"
+
+
 def test_print_lower_degree_first():
     # 1 is the greatest local monomial, so constants print first.
     assert str(P("x^2+1")) == "1+x^2"

@@ -9,12 +9,16 @@ For each seed of the range it runs ``germbench/run.py`` untraced once in
 the parent checkout and once in this one, as separate processes one
 after the other; the side that goes first alternates from seed to seed,
 so a drift of the shared machine's speed hits both sides alike.  Every
-run takes ``run_seconds`` from this checkout's ``BENCHMARK.json``.
+run takes ``run_seconds`` from this checkout's ``BENCHMARK.json``
+(one second under ``--smoke``).
 For every end-to-end metric it then prints each side's median and
 quartiles, the number of pairs (runs at the same seed) each side won,
 and whether a gain is shown: this checkout wins at least nine pairs in
 ten, and its median is better than the parent's by more than the
-distance between the parent's quartiles.
+distance between the parent's quartiles.  ``--smoke`` runs the tiny
+workload sizes for one second each, which checks the tool itself::
+
+    python3 tools/bench_pairs.py --parent ../parent --workload fermat_ladder --seeds 0 --smoke
 
 Exit status: 0 when every run answered correctly, 1 otherwise.
 """
@@ -63,17 +67,18 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, type=Path, help="root of the parent checkout")
     p.add_argument("--workload", required=True, help="a workload of BENCHMARK.json")
     p.add_argument("--seeds", required=True, type=seed_range, help="seed range, e.g. 70-79")
+    p.add_argument("--smoke", action="store_true", help="tiny sizes, to check the tool")
     args = p.parse_args(argv)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.workload not in {w["name"] for w in declared["workloads"]}:
         p.error(f"unknown workload {args.workload!r}")
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    seconds = 1 if args.smoke else declared["run_seconds"]
     all_ok = True
     for n, seed in enumerate(args.seeds):
         for side in ("parent", "change") if n % 2 == 0 else ("change", "parent"):
-            ok, metrics = run_once(args.workload, seed, declared["run_seconds"], 0, False,
-                                   sides[side])
+            ok, metrics = run_once(args.workload, seed, seconds, 0, args.smoke, sides[side])
             all_ok &= ok
             runs[side].append(metrics)
             print(f"{args.workload} seed={seed} {side} {'ok' if ok else 'FAILED'}", flush=True)
