@@ -17,8 +17,8 @@ from operator import mul
 
 from . import linalg
 from .errors import ComputationBudgetExceeded, NotAGermError
-from .localalg import (INFINITE, LocalOrder, StandardBasis, extend_standard_basis,
-                       quotient_codimension, standard_basis)
+from .localalg import (INFINITE, LocalOrder, StandardBasis, _encode_poly, _germ_records,
+                       _Rec, extend_standard_basis, quotient_codimension, standard_basis)
 from .poly import _ONE, Polynomial
 
 #: Normalized positive weight vector and weighted degree.
@@ -50,10 +50,6 @@ def _require_germ(f: Polynomial) -> None:
         raise NotAGermError("germ must vanish at the origin (nonzero constant term)")
 
 
-def _gradient(f: Polynomial) -> list[Polynomial]:
-    return [g for g in (f.partial_derivative(v) for v in f.vars) if g]
-
-
 def _candidate_precedences(vars: tuple[str, ...]) -> list[tuple[str, ...]]:
     # The ring's own order first, then the 23 lexicographically smallest
     # others: permutations of a sorted sequence come in lexicographic
@@ -62,9 +58,9 @@ def _candidate_precedences(vars: tuple[str, ...]) -> list[tuple[str, ...]]:
     return [vars, *itertools.islice(others, 23)]
 
 
-#: Work-unit budget of each portfolio round.  Round 0 is a cheap probe
-#: that ranks the precedences: the ladder and every sweep germ finish
-#: in it, and the paper's germ wins at 1M units.
+#: Work-unit budget of the leader of each portfolio round.  Round 0 is a
+#: cheap probe that ranks the precedences: the ladder and every sweep
+#: germ finish in it, and the paper's germ wins at 1M units.
 _BUDGETS = (15_625, 1_000_000, 4_000_000, 16_000_000)
 
 
@@ -75,8 +71,9 @@ def _order(vars: tuple[str, ...], precedence: tuple[str, ...]) -> LocalOrder:
     return LocalOrder(vars, precedence)
 
 
-def _portfolio_basis(gens: list[Polynomial], vars: tuple[str, ...]) -> StandardBasis:
-    """Standard basis under the cheapest variable precedence.
+def _portfolio_basis(f: Polynomial) -> tuple[StandardBasis, _Rec]:
+    """Gradient standard basis of a valid germ ``f`` under the cheapest
+    variable precedence, with the record of ``f`` in the winner's order.
 
     Every precedence yields the same quotient codimensions, but the
     staircase shape (and with it the cost of the completion) varies
@@ -84,35 +81,54 @@ def _portfolio_basis(gens: list[Polynomial], vars: tuple[str, ...]) -> StandardB
     deterministic step budget of :data:`_BUDGETS`.  Round 0 follows
     :func:`_candidate_precedences`, building each order only when it is
     first tried (once per ring and precedence, :func:`_order`), so a
-    germ that finishes in its first attempt builds at most one; each
-    later round takes them in ascending order of the s-pairs their run
-    left queued when it ran out of budget in the round before, ties
-    keeping the previous order.
+    germ that finishes in its first attempt builds at most one.  ``f``
+    is encoded once per order tried, and each attempt derives the
+    records of its gradient and of ``f`` from that encoding
+    (:func:`~germ.localalg._germ_records`).  Each later
+    round ranks the precedences in ascending order of the s-pairs their
+    last run left queued when it ran out of budget, ties keeping the
+    previous order, and gives rank ``i`` the round's budget divided by
+    ``4**i`` but at least the probe's: the schedule's own factor of 4,
+    so the leader gets the whole round and a precedence far behind it
+    costs little.  A precedence is not rerun at a budget no larger than
+    one it already failed at, since every run is deterministic; it keeps
+    its rank by the pairs its last run left.
     Fewer pairs left means a run nearer its end: on the paper's germ the
     winner (y,x,z) leaves 43 at 15,625 units and the other five 61 to 92
     in every ring order.  Runs restart at the larger budget rather than
     resume, so failed runs hold no memory.  Every step is deterministic,
     so the returned basis, and everything derived from it, is
-    reproducible.  When every precedence fails the last budget, the germ
-    is left undecided with :class:`ComputationBudgetExceeded`.
+    reproducible.  When no precedence finishes within the last round,
+    whose leader alone gets the last budget, the germ is left undecided
+    with :class:`ComputationBudgetExceeded`.
     """
-    orders = (_order(vars, p) for p in _candidate_precedences(vars))
+    _require_germ(f)
+    orders = (_order(f.vars, p) for p in _candidate_precedences(f.vars))
+    # (pairs left by its last run, order, that run's budget, encoded f).
+    # Only the encoding is kept: holding every order's records through
+    # the winning run raised benchmark_germ's peak RSS by about 0.15 MB.
+    ranked = ((0, order, 0, _encode_poly(f, order)) for order in orders)
     for budget in _BUDGETS:
         failed = []
-        for order in orders:
+        for rank, (left, order, spent, terms) in enumerate(ranked):
+            limit = max(budget >> 2 * rank, _BUDGETS[0])
+            if limit <= spent:  # it would fail the same way again
+                failed.append((left, order, spent, terms))
+                continue
+            grad, frec = _germ_records(terms, order)
             try:
-                return standard_basis(gens, order, step_limit=budget)
+                return standard_basis(grad, order, step_limit=limit), frec
             except ComputationBudgetExceeded as exc:
-                failed.append((exc.pairs_left, order))
-        orders = [order for _, order in sorted(failed, key=lambda f: f[0])]  # stable
+                failed.append((exc.pairs_left, order, limit, terms))
+        ranked = sorted(failed, key=lambda run: run[0])  # stable
     raise ComputationBudgetExceeded(
-        f"no variable precedence finished within {_BUDGETS[-1]} work units")
+        f"no variable precedence finished within its budget; the last round's "
+        f"leader ran out of {_BUDGETS[-1]} work units")
 
 
 def jacobian_basis(f: Polynomial) -> StandardBasis:
     """Standard basis of the gradient ideal of a valid germ."""
-    _require_germ(f)
-    return _portfolio_basis(_gradient(f), f.vars)
+    return _portfolio_basis(f)[0]
 
 
 def milnor_number(f: Polynomial) -> int | float:
@@ -120,8 +136,9 @@ def milnor_number(f: Polynomial) -> int | float:
     return quotient_codimension(jacobian_basis(f))
 
 
-def _tau(f: Polynomial, jac: StandardBasis, mu: int | float) -> int | float:
-    """Tjurina number from the gradient basis, warm-started.
+def _tau(frec: _Rec, jac: StandardBasis, mu: int | float) -> int | float:
+    """Tjurina number from the gradient basis, warm-started with the
+    record ``frec`` of the germ ``f`` in the basis's order.
 
     ``f`` lies in the integral closure of ``m*J``, so ``V(J, f) = V(J)``
     and ``tau`` is finite exactly when ``mu`` is; an infinite ``mu`` needs
@@ -129,13 +146,13 @@ def _tau(f: Polynomial, jac: StandardBasis, mu: int | float) -> int | float:
     """
     if mu == INFINITE:
         return INFINITE
-    return quotient_codimension(extend_standard_basis(jac, [f]))
+    return quotient_codimension(extend_standard_basis(jac, [frec]))
 
 
 def tjurina_number(f: Polynomial) -> int | float:
     """Codimension of the ideal generated by the germ and its gradient."""
-    jac = jacobian_basis(f)
-    return _tau(f, jac, quotient_codimension(jac))
+    jac, frec = _portfolio_basis(f)
+    return _tau(frec, jac, quotient_codimension(jac))
 
 
 def germ_invariants(f: Polynomial) -> GermInvariants:
@@ -144,9 +161,9 @@ def germ_invariants(f: Polynomial) -> GermInvariants:
     The gradient standard basis is reused as a warm start for the
     Tjurina ideal, so this is cheaper than two independent runs.
     """
-    jac = jacobian_basis(f)
+    jac, frec = _portfolio_basis(f)
     mu = quotient_codimension(jac)
-    tau = _tau(f, jac, mu)
+    tau = _tau(frec, jac, mu)
     return GermInvariants(
         germ_dimension=len(f.vars) - 1,
         mu=mu,

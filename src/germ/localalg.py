@@ -202,6 +202,32 @@ def _encode_poly(p: Polynomial, order: LocalOrder) -> dict:
                    for e, c in p.terms.items()})
 
 
+def _germ_records(terms: dict, order: LocalOrder) -> tuple[list[_Rec], _Rec]:
+    """Records of the nonzero partials of a germ, in ring variable order,
+    and of the germ itself, from its nonzero encoding ``terms`` by
+    :func:`_encode_poly`, which is left unchanged.
+
+    The partial in ring variable ``i`` maps each code ``k`` with
+    exponent ``e = k >> shift_i & _FIELD_MASK`` to ``k`` less one in
+    that field and in the degree, with coefficient ``c*e``.  It is a
+    nonzero rational multiple of the ``Fraction`` partial, whose
+    primitive form with a positive leading coefficient is unique, so
+    each record equals the one :func:`_encode_poly` makes of it.
+    """
+    one = 1 << order._deg_shift
+    grad = []
+    for s in order._shifts:
+        step = one + (1 << s)
+        part = {}
+        for k, c in terms.items():
+            e = k >> s & _FIELD_MASK
+            if e:
+                part[k - step] = c * e
+        if part:
+            grad.append(_make_rec(_strip(part), order))
+    return grad, _make_rec(terms, order)
+
+
 def _decode_poly(terms: dict, order: LocalOrder) -> Polynomial:
     return Polynomial(order.variables, {order.decode(k): Fraction(c) for k, c in terms.items()})
 
@@ -568,9 +594,8 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
 
     def push_pairs(t: int) -> None:
         nonlocal seq
-        lo = 0 if t >= start_pairs_from else start_pairs_from
         lm = records[t].lm
-        for i in range(lo, t):
+        for i in range(t):
             lcm_code = order._lcm(records[i].lm, lm)
             heappush(heap, (order.degree(lcm_code), seq, i, t, lcm_code))
             pending.add((i, t))
@@ -581,7 +606,7 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
            for r in new):
         size = None  # a new leading monomial
     refresh_corner(new)
-    for t in range(len(records)):
+    for t in range(start_pairs_from, len(records)):
         push_pairs(t)
 
     while heap:
@@ -680,9 +705,14 @@ def _complete_homogeneous(records: list[_Rec], order: LocalOrder, work: list,
     return StandardBasis(records, order, [order.encode(m) for m in stairs[2]], stairs[0])
 
 
-def _prepare_records(gens: Sequence[Polynomial], order: LocalOrder) -> list[_Rec]:
+def _prepare_records(gens: Sequence[Polynomial | _Rec], order: LocalOrder) -> list[_Rec]:
+    """Records of ``gens``: a record packed in ``order`` (from
+    :func:`_germ_records`) is kept as it is, a polynomial is encoded."""
     records = []
     for p in gens:
+        if isinstance(p, _Rec):
+            records.append(p)
+            continue
         if p.vars != order.variables:
             raise ValueError("all generators must live in the ring of the order")
         terms = _encode_poly(p, order)
@@ -696,7 +726,8 @@ def standard_basis(gens: Sequence[Polynomial], order: LocalOrder | None = None, 
     """Standard basis of the ideal generated by ``gens`` in the local ring.
 
     Monomial input comes back as it went in, made primitive: every
-    s-polynomial of two monomials is zero.
+    s-polynomial of two monomials is zero.  Packed records of ``order``
+    (see :func:`_germ_records`) may stand in for polynomials.
     """
     gens = [p for p in gens if p]
     if not gens:

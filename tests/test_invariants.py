@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import germ.invariants
+import germ.localalg
 from germ import (INFINITE, NotAGermError, Polynomial, SweepSpec, find_positive_weights,
                   generate_corpus, germ_invariants, jet_quotient_dimension, milnor_number,
-                  parse_polynomial, suspend, tjurina_number)
+                  parse_polynomial, quotient_codimension, suspend, tjurina_number)
 from germ.errors import ComputationBudgetExceeded
 from germ.invariants import _candidate_precedences, _eliminated_weights, jacobian_basis
 
@@ -116,6 +117,7 @@ def test_candidate_precedences():
 
 
 PAPER_GERM = "x^14+y^6*z^8+z^14+x^9*z^5+(x+y+z)^15"
+XYZ, XZY, YXZ, YZX, ZXY, ZYX = _candidate_precedences(("x", "y", "z"))
 
 
 def _spy_attempts(monkeypatch, outcome=None):
@@ -167,15 +169,77 @@ def test_portfolio_ranks_rounds_by_pairs_left_and_keeps_ties(monkeypatch):
     attempts = _spy_attempts(
         monkeypatch, lambda prec, budget: left[prec] if budget == budgets[0] else 7)
     monkeypatch.setattr(germ.invariants, "_BUDGETS", budgets)
-    with pytest.raises(ComputationBudgetExceeded, match=f"within {budgets[-1]} ") as info:
+    with pytest.raises(ComputationBudgetExceeded, match=f"out of {budgets[-1]} ") as info:
         jacobian_basis(P("x^2+y^3+z^4", ("x", "y", "z")))
     assert info.value.pairs_left is None
-    rounds = [[p for p, b, _ in attempts if b == budget] for budget in budgets]
-    assert rounds[0] == _candidate_precedences(("x", "y", "z"))
-    assert rounds[1] == [("z", "x", "y"), ("x", "z", "y"), ("y", "z", "x"),
-                         ("x", "y", "z"), ("y", "x", "z"), ("z", "y", "x")]
-    assert rounds[2] == rounds[1]
-    assert len(attempts) == 18
+    # Rank i of a later round gets the round's budget over 4**i, at least
+    # the probe's; a precedence is not rerun at a budget it already
+    # failed at, and keeps its rank by the pairs its last run left, so
+    # in round 2 the three 15,625-unit runs (5 left) lead the 7s, each
+    # group in its previous order.
+    assert [(p, b) for p, b, _ in attempts] == [
+        (XYZ, 15_625), (XZY, 15_625), (YXZ, 15_625), (YZX, 15_625), (ZXY, 15_625),
+        (ZYX, 15_625),
+        (ZXY, 1_000_000), (XZY, 250_000), (YZX, 62_500),
+        (XYZ, 4_000_000), (YXZ, 1_000_000), (ZYX, 250_000)]
+
+
+@pytest.mark.parametrize("text,mu,attempts", [
+    # Round 1's leader wins at 1M units.
+    ("x^7+y^3*z^4+z^7+x^4*z^3+(x+y+z)^8", 234,
+     [(XYZ, 15_625, 72), (XZY, 15_625, 72), (YXZ, 15_625, 22), (YZX, 15_625, 68),
+      (ZXY, 15_625, 56), (ZYX, 15_625, 108), (YXZ, 1_000_000, "ok")]),
+    # Round 1's leader fails at 1M units and ranks 1 and 2 at their
+    # scaled budgets; ranks 3 to 5 are not rerun at the probe budget.
+    # (y,x,z) then leaves the fewest pairs and wins round 2 at 4M.
+    ("x^9+y*z^8+z^9+x^6*z^3+(x+y+z)^10", 568,
+     [(XYZ, 15_625, 122), (XZY, 15_625, 32), (YXZ, 15_625, 39), (YZX, 15_625, 58),
+      (ZXY, 15_625, 37), (ZYX, 15_625, 70), (XZY, 1_000_000, 441), (ZXY, 250_000, 253),
+      (YXZ, 62_500, 37), (YXZ, 4_000_000, "ok")]),
+])
+def test_portfolio_attempts_on_cheap_paper_shape_rows_are_pinned(monkeypatch, text, mu, attempts):
+    # Germs of the paper's shape x^a+y^b*z^c+z^a+x^p*z^q+(x+y+z)^(a+1)
+    # with b+c = p+q = a that leave the probe round.
+    spied = _spy_attempts(monkeypatch)
+    jac = jacobian_basis(P(text, ("x", "y", "z")))
+    assert quotient_codimension(jac) == mu
+    assert spied == attempts
+    assert jac.order.precedence == attempts[-1][0]
+
+
+def test_germ_invariants_encodes_the_germ_once_per_order_tried(monkeypatch):
+    # The gradient and the Tjurina generator are derived from one packed
+    # encoding of f per order the portfolio tries, with no Fraction
+    # partial derivative: six orders for the paper's germ (six probes and
+    # the 1M win under (y,x,z)), one for a germ that wins its first probe.
+    encoded, partials = [], []
+    real_encode, real_partial = germ.localalg._encode_poly, Polynomial.partial_derivative
+
+    def encode(p, order):
+        encoded.append((p, order.precedence))
+        return real_encode(p, order)
+
+    def partial(self, var):
+        partials.append(var)
+        return real_partial(self, var)
+
+    # The portfolio encodes through its own import of the name, any
+    # polynomial generator through the kernel's.
+    monkeypatch.setattr(germ.localalg, "_encode_poly", encode)
+    monkeypatch.setattr(germ.invariants, "_encode_poly", encode)
+    monkeypatch.setattr(Polynomial, "partial_derivative", partial)
+    ring = ("x", "y", "z")
+    f = P(PAPER_GERM, ring)
+    inv = germ_invariants(f)
+    assert (inv.mu, inv.tau) == (2288, 1660)
+    assert all(p is f for p, _ in encoded)
+    assert [prec for _, prec in encoded] == _candidate_precedences(ring)
+    encoded.clear()
+    g = P("x^3+y^4+z^5", ring)
+    inv = germ_invariants(g)
+    assert (inv.mu, inv.tau) == (24, 24)
+    assert encoded == [(g, ring)]
+    assert partials == []
 
 
 @pytest.mark.parametrize("germs", [

@@ -326,6 +326,38 @@ def test_add_shifted_matches_per_term_oracle(case):
 
 
 @st.composite
+def rational_polynomials(draw):
+    """A nonzero polynomial in 1 to 4 variables with rational coefficients
+    of either sign; one variable may be absent, so its partial is zero."""
+    vs = ("x", "y", "z", "w")[:draw(st.integers(1, 4))]
+    absent = draw(st.sampled_from([None, *range(len(vs))]))
+    monomial = st.tuples(*[st.integers(0, 6)] * len(vs)).map(
+        lambda e: e if absent is None else e[:absent] + (0,) + e[absent + 1:])
+    coefficient = st.fractions(-50, 50, max_denominator=12).filter(bool)
+    return Polynomial(vs, draw(st.dictionaries(monomial, coefficient, min_size=1, max_size=8)))
+
+
+def _fields(records):
+    return [(r.lm, r.lc, r.keys, r.coefs, r.ecart) for r in records]
+
+
+@given(rational_polynomials())
+@example(Polynomial(("x", "y", "z"), {(2, 0, 0): Fraction(-3, 2), (1, 3, 0): Fraction(5, 7)}))
+@example(Polynomial(("x", "y"), {(0, 0): Fraction(-4, 3)}))
+@settings(max_examples=200, deadline=None)
+def test_germ_records_match_the_encoded_partials(f):
+    # The gradient derived in the packed domain gives, under every
+    # precedence, the records of the encoded Fraction partials, zero
+    # partials dropped, and the record of the encoded germ.
+    partials = [g for g in (f.partial_derivative(v) for v in f.vars) if g]
+    for precedence in itertools.permutations(f.vars):
+        order = LocalOrder(f.vars, precedence)
+        grad, rec = localalg._germ_records(localalg._encode_poly(f, order), order)
+        assert _fields(grad) == _fields(localalg._prepare_records(partials, order))
+        assert _fields([rec]) == _fields(localalg._prepare_records([f], order))
+
+
+@st.composite
 def monomial_pairs(draw):
     """An order on 1 to 4 variables and two exponent vectors, each field
     anywhere from 0 to the machine bound, often shared or zero."""

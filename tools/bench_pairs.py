@@ -11,11 +11,19 @@ after the other; the side that goes first alternates from seed to seed,
 so a drift of the shared machine's speed hits both sides alike.  Every
 run takes ``run_seconds`` from this checkout's ``BENCHMARK.json``
 (one second under ``--smoke``).
+Before the first run, the ``src`` and ``germbench`` modules of both
+checkouts are compiled to bytecode, so neither side loads stale
+bytecode or compiles its modules at every start when the other does
+not (as with ``PYTHONDONTWRITEBYTECODE=1`` and a ``__pycache__`` left in
+one checkout).
 For every end-to-end metric it then prints each side's median and
 quartiles, the number of pairs (runs at the same seed) each side won,
-and whether a gain is shown: this checkout wins at least nine pairs in
+whether a gain is shown: this checkout wins at least nine pairs in
 ten, and its median is better than the parent's by more than the
-distance between the parent's quartiles.  ``--smoke`` runs the tiny
+distance between the parent's quartiles, and whether the metric is
+shown worse, by the same rule with the sides' roles swapped: the
+parent wins nine pairs in ten and this checkout's median is worse by
+more than the parent's quartile distance.  ``--smoke`` runs the tiny
 workload sizes for one second each, which checks the tool itself::
 
     python3 tools/bench_pairs.py --parent ../parent --workload fermat_ladder --seeds 0 --smoke
@@ -26,6 +34,7 @@ Exit status: 0 when every run answered correctly, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import statistics
 import sys
@@ -50,7 +59,7 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 
 
 def compare(parent: list[float], change: list[float], better: str) -> dict:
-    """Medians, quartiles, pairs won and the gain verdict of one metric."""
+    """Medians, quartiles, pairs won, and the gain and worse verdicts of one metric."""
     sign = 1 if better == "higher" else -1
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     lost = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
@@ -59,7 +68,8 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     return {"parent": (statistics.median(parent), q1, q3),
             "change": (statistics.median(change), *quartiles(change)),
             "won": won, "lost": lost,
-            "gain": 10 * won >= 9 * len(parent) and gap > q3 - q1}
+            "gain": 10 * won >= 9 * len(parent) and gap > q3 - q1,
+            "worse": 10 * lost >= 9 * len(parent) and -gap > q3 - q1}
 
 
 def main(argv=None) -> int:
@@ -75,6 +85,9 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     seconds = 1 if args.smoke else declared["run_seconds"]
+    for root in sides.values():
+        for tree in ("src", "germbench"):
+            compileall.compile_dir(root / tree, quiet=1)
     all_ok = True
     for n, seed in enumerate(args.seeds):
         for side in ("parent", "change") if n % 2 == 0 else ("change", "parent"):
@@ -86,14 +99,14 @@ def main(argv=None) -> int:
         print("some run failed or answered wrongly; no comparison")
         return 1
     print(f"{'metric':<14} {'parent median (q1/q3)':>30} {'change median (q1/q3)':>30}"
-          f" {'won c/p':>7} gain")
+          f" {'won c/p':>7} gain worse")
     for m in declared["end_to_end"]:
         name = m["name"]
         r = compare([run[name] for run in runs["parent"]],
                     [run[name] for run in runs["change"]], m["better"])
         cells = ["{:.6g} ({:.6g}/{:.6g})".format(*r[side]) for side in ("parent", "change")]
         print(f"{name:<14} {cells[0]:>30} {cells[1]:>30} {r['won']:>3}/{r['lost']:<3}"
-              f" {'yes' if r['gain'] else 'no'}")
+              f" {'yes' if r['gain'] else 'no':<4} {'yes' if r['worse'] else 'no'}")
     return 0
 
 
