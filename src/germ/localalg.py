@@ -13,11 +13,12 @@ above 2**15 - 1 raise :class:`~germ.errors.MonomialOverflowError`
 instead of wrapping.  Exponent tuples appear only where the staircase
 is counted and where a basis is read back.
 Basis elements are integer vectors kept in these packed records from
-the input to the final :class:`StandardBasis`; a warm start reuses them,
-and they become ``Polynomial`` objects only when ``generators`` is first
-read.  An active remainder is an integer vector with one exact rational
-scale (fraction-free reduction with lazy content removal), so every
-verdict is exact.  Once the leading ideal has a finite staircase, every
+the input to the final :class:`StandardBasis`; a warm start reuses them
+and reduces each new generator modulo them first, and they become
+``Polynomial`` objects only when ``generators`` is first read.  An
+active remainder is an integer vector with one exact rational scale
+(fraction-free reduction with lazy content removal), so every verdict
+is exact.  Once the leading ideal has a finite staircase, every
 term smaller than its highest corner lies in the ideal and is dropped;
 record tails are sorted by code, so a shifted tail is cut there by one
 bisection.  Before that, a completion whose Mora snapshots compound
@@ -237,6 +238,26 @@ def _make_rec(terms: dict, order: LocalOrder) -> _Rec:
     lm = codes[0]
     return _Rec(lm, terms[lm], codes[1:], list(map(terms.get, codes[1:])),
                 order.degree(codes[-1]) - order.degree(lm))
+
+
+def _cut(rec: _Rec, corner_code: int, order: LocalOrder) -> _Rec:
+    """``rec`` without its tail terms at or beyond ``corner_code``, made
+    primitive again; ``rec`` itself is left unchanged.
+
+    The kept terms are a prefix of the sorted tail, and the leading
+    coefficient stays positive, so the cut is one slice and one gcd.
+    """
+    n = bisect_left(rec.keys, corner_code)
+    keys, coefs = rec.keys[:n], rec.coefs[:n]
+    g = rec.lc
+    for c in coefs:
+        if g == 1:
+            break
+        g = gcd(g, c)
+    if g != 1:
+        coefs = [c // g for c in coefs]
+    ecart = order.degree(keys[-1]) - order.degree(rec.lm) if keys else 0
+    return _Rec(rec.lm, rec.lc // g, keys, coefs, ecart)
 
 
 def _beyond_codes(order: LocalOrder) -> int:
@@ -533,7 +554,13 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
     Pairs among ``records[:start_pairs_from]`` are assumed to reduce to
     zero already (warm start); ``outside`` and ``size`` are then the top
     layer (the largest-degree codes) and the size of their staircase, as
-    a :class:`StandardBasis` carries them.
+    a :class:`StandardBasis` carries them.  When that staircase has a
+    certified corner (a non-empty top layer, or the unit ideal), each
+    appended record is first reduced modulo the old ones below it, with
+    no snapshot, so ``c*f - r`` lies in their ideal for a nonzero
+    integer ``c``: a zero remainder is dropped, and a nonzero one, whose
+    leading monomial is new, takes the record's place before any pair
+    is formed.
 
     As soon as the current leading terms have a finite staircase, every
     later computation is truncated at its highest corner, the smallest
@@ -559,9 +586,9 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
     smallest monomial lies at or beyond it are truncated and made
     primitive again.
 
-    A run that goes past ``step_limit`` raises
-    :class:`ComputationBudgetExceeded` with ``pairs_left`` set to the
-    number of s-pairs still queued.
+    A run that goes past ``step_limit``, those first reductions
+    included, raises :class:`ComputationBudgetExceeded` with
+    ``pairs_left`` set to the number of s-pairs still queued.
     """
     guard = order._guard
     heap: list = []  # (lcm degree, seq, i, j, lcm_code)
@@ -588,9 +615,7 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
         corner_code = code
         for t, r in enumerate(records):
             if r.keys and r.keys[-1] >= corner_code:
-                kept = dict(zip(r.keys[:bisect_left(r.keys, corner_code)], r.coefs))
-                kept[r.lm] = r.lc
-                records[t] = _make_rec(_strip(kept), order)
+                records[t] = _cut(r, corner_code, order)
 
     def push_pairs(t: int) -> None:
         nonlocal seq
@@ -602,6 +627,20 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
             seq += 1
 
     new = records[start_pairs_from:]
+    if start_pairs_from and (outside or size == 0):
+        # Membership first: below a certified corner a new generator
+        # reduces to zero exactly when it lies in the ideal.
+        base = records[:start_pairs_from]
+        base_corner = max(outside) + 1 if outside else 0
+        try:
+            rems = [_reduce({**dict(zip(r.keys, r.coefs)), r.lm: r.lc}, base, order,
+                            base_corner, work, step_limit) for r in new]
+        except ComputationBudgetExceeded as exc:
+            exc.pairs_left = 0  # no pair is formed yet
+            raise
+        new = records[start_pairs_from:] = [_make_rec(rem, order) for rem in rems if rem]
+        if not new:
+            return StandardBasis(records, order, outside, size)
     if any(all(((r.lm | guard) - o.lm) & guard != guard for o in records[:start_pairs_from])
            for r in new):
         size = None  # a new leading monomial
@@ -747,7 +786,11 @@ def extend_standard_basis(basis: StandardBasis, extra: Sequence[Polynomial], *,
     with a positive leading coefficient, and from the top layer and
     count of its staircase: the staircase is counted again only if that
     layer empties, and the count carries over while every new leading
-    monomial is divisible by an old one.
+    monomial is divisible by an old one.  When that staircase has a
+    certified corner, each new generator is reduced modulo the records
+    first and only a nonzero remainder is appended: an extension by
+    members of the ideal returns the records, layer and count of
+    ``basis``, which are shared and never changed.
     """
     order = basis.order
     new = _prepare_records(extra, order)

@@ -1,5 +1,7 @@
 """Local order, Mora normal form, standard bases, staircase counting."""
 
+import bisect
+import copy
 import itertools
 import math
 import random
@@ -14,7 +16,7 @@ from germ import (EQUAL, GREATER, INFINITE, LESS, LocalOrder, MonomialOverflowEr
                   Polynomial, extend_standard_basis, jet_quotient_dimension,
                   mora_normal_form, parse_polynomial, quotient_codimension, standard_basis,
                   wahl_tau_min)
-from germ import localalg
+from germ import invariants, localalg
 from germ.corpus import SweepSpec, generate_corpus
 from germ.invariants import germ_invariants
 from germ.errors import ComputationBudgetExceeded
@@ -325,6 +327,47 @@ def test_add_shifted_matches_per_term_oracle(case):
         assert all(h.values())
 
 
+def record_fields(rec):
+    return rec.lm, rec.lc, rec.keys, rec.coefs, rec.ecart
+
+
+@st.composite
+def record_cuts(draw):
+    """A record with a positive leading coefficient and perhaps a common
+    factor, and a cut code: one past a term, a term itself, a degree
+    boundary, 0 or the pre-corner bound."""
+    vs = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    order = LocalOrder(vs, draw(st.permutations(vs)))
+    monomial = st.tuples(*[st.integers(0, 5)] * len(vs)).map(order.encode)
+    terms = draw(st.dictionaries(monomial, st.integers(-40, 40).filter(bool),
+                                 min_size=1, max_size=8))
+    factor = draw(st.sampled_from((1, 1, 2, 6, 35))) * (1 if terms[min(terms)] > 0 else -1)
+    rec = localalg._make_rec({k: c * factor for k, c in terms.items()}, order)
+    code = draw(st.one_of(
+        st.sampled_from(sorted(terms)).map(lambda k: k + draw(st.sampled_from((0, 1)))),
+        st.integers(0, 16).map(lambda d: d << order._deg_shift),
+        st.just(0), st.just(localalg._beyond_codes(order))))
+    return order, rec, code
+
+
+@given(record_cuts())
+@settings(max_examples=300, deadline=None)
+def test_sliced_cut_matches_the_rebuilt_record(case):
+    # The cut slices the sorted tail and divides by one gcd; it must give
+    # the record that rebuilding the kept terms as a dict, stripping and
+    # sorting them again gives, and leave its input as it was: a warm
+    # start shares the records of the basis it extends.
+    order, rec, code = case
+    before = copy.deepcopy(record_fields(rec))
+    kept = dict(zip(rec.keys[:bisect.bisect_left(rec.keys, code)], rec.coefs))
+    kept[rec.lm] = rec.lc
+    expected = localalg._make_rec(localalg._strip(kept), order)
+    cut = localalg._cut(rec, code, order)
+    assert record_fields(cut) == record_fields(expected)
+    assert type(cut.keys) is type(cut.coefs) is list
+    assert record_fields(rec) == before
+
+
 @st.composite
 def rational_polynomials(draw):
     """A nonzero polynomial in 1 to 4 variables with rational coefficients
@@ -461,6 +504,74 @@ def test_extend_standard_basis_matches_fresh_run():
     assert quotient_codimension(warm) == quotient_codimension(fresh)
 
 
+@st.composite
+def extended_ideals(draw):
+    """Generators in 2 or 3 variables, often with pure powers so that
+    the staircase is finite, and extra generators: random ones or
+    combinations of the generators, which lie in the ideal."""
+    vs = ("x", "y", "z")[:draw(st.integers(2, 3))]
+    monomial = st.tuples(*[st.integers(0, 3)] * len(vs))
+    coefficient = st.integers(-5, 5).filter(bool)
+    polynomial = st.dictionaries(monomial, coefficient, min_size=1, max_size=3).map(
+        lambda terms: Polynomial(vs, terms))
+    gens = draw(st.lists(polynomial, min_size=1, max_size=2))
+    if draw(st.booleans()):
+        gens += [Polynomial(vs, {tuple(draw(st.integers(2, 4)) if j == i else 0
+                                       for j in range(len(vs))): 1})
+                 for i in range(len(vs))]
+    gens = [g for g in gens if g]
+    extra = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            extra.append(draw(polynomial))
+        else:
+            extra.append(sum((g * draw(polynomial) for g in gens[1:]), gens[0] * draw(polynomial)))
+    return gens, [p for p in extra if p]
+
+
+@given(extended_ideals())
+@settings(max_examples=60, deadline=None)
+def test_warm_start_matches_fresh_run_and_keeps_its_input(case):
+    # A warm start reduces its new generators modulo the basis first and
+    # completes with the remainders; it must find the leading ideal and
+    # codimension of a run from scratch, and leave the records, layer and
+    # count of the basis it extends as they were.
+    gens, extra = case
+    if not gens:
+        return
+    basis = standard_basis(gens)
+    before = copy.deepcopy(([record_fields(r) for r in basis._records],
+                            basis._layer, basis._size))
+    warm = extend_standard_basis(basis, extra)
+    fresh = standard_basis(gens + extra)
+    assert set(warm.leading_ideal) == set(fresh.leading_ideal)
+    assert quotient_codimension(warm) == quotient_codimension(fresh)
+    assert ([record_fields(r) for r in basis._records], basis._layer, basis._size) == before
+
+
+@pytest.mark.parametrize("text,vs", [("x^3+y^4", V2), ("x^5+y^5+z^5", ("x", "y", "z"))])
+def test_member_germ_builds_no_spolynomial_after_its_jacobian_run(monkeypatch, text, vs):
+    # A quasihomogeneous germ lies in its Jacobian ideal (mu = tau), so
+    # the warm Tjurina run reduces it to zero and forms no pair.
+    spolys = []
+    started = []  # the s-polynomials built when the Tjurina run starts
+    extend, spoly = invariants.extend_standard_basis, localalg._spoly
+
+    def extend_spy(*args, **kw):
+        started.append(len(spolys))
+        return extend(*args, **kw)
+
+    def spoly_spy(*args):
+        spolys.append(args)
+        return spoly(*args)
+
+    monkeypatch.setattr(invariants, "extend_standard_basis", extend_spy)
+    monkeypatch.setattr(localalg, "_spoly", spoly_spy)
+    inv = germ_invariants(parse_polynomial(text, vs))
+    assert inv.tau == inv.mu
+    assert started == [len(spolys)]
+
+
 @pytest.mark.parametrize("d", range(3, 8))
 def test_superisolated_ladder_agrees_across_precedences(d):
     # Closed forms mu=(d-1)^3 and tau=wahl_tau_min(d) under every
@@ -572,8 +683,8 @@ def test_budget_charges_coefficient_growth(monkeypatch):
 
 
 @pytest.mark.parametrize("ring,jacobian,tjurina", [
-    (("x", "y", "z"), (304_481, 14, 3701), (6_204_613, 30, 8150, 265)),
-    (("y", "z", "x"), (316_699, 14, 3747), (6_312_809, 30, 8146, 265)),
+    (("x", "y", "z"), (304_481, 14, 3701), (6_204_735, 29, 8010, 265)),
+    (("y", "z", "x"), (316_699, 14, 3747), (6_312_931, 29, 8006, 265)),
 ], ids=["ring-xyz", "ring-yzx"])
 def test_paper_germ_work_and_bases_are_pinned(monkeypatch, ring, jacobian, tjurina):
     # The paper's germ under the precedence (y,x,z) that wins its
@@ -583,8 +694,10 @@ def test_paper_germ_work_and_bases_are_pinned(monkeypatch, ring, jacobian, tjuri
     # Jacobian values were measured with the rational (num, den) kernel
     # that the fraction-free one replaced, the Tjurina ones with the
     # truncation at the highest corner itself (it was at the corner's
-    # degree: 16,504,621 and 16,612,683 units, 8,488 and 8,483 terms); a
-    # kernel change that moves the meter or a basis shows here.
+    # degree: 16,504,621 and 16,612,683 units, 8,488 and 8,483 terms,
+    # then, before f was reduced modulo the Jacobian basis first,
+    # 6,204,613 and 6,312,809 units, 30 records, 8,150 and 8,146 terms);
+    # a kernel change that moves the meter or a basis shows here.
     counters = []
     nonzero = []  # per run, whether each reduction left a remainder
     reduce = localalg._reduce
@@ -616,9 +729,10 @@ def test_warm_start_records_are_primitive(monkeypatch):
     # Under the ring's own precedence the Jacobian run of this germ
     # truncates its last record at the corner, which leaves it with
     # content (147*y^7); the truncated record is divided by it, so the
-    # Jacobian basis and the warm Tjurina run both hold y^7.  Work units
-    # and Tjurina generators measured with the decode-and-re-encode warm
-    # start that the record reuse replaced.
+    # Jacobian basis holds y^7.  mu = tau, so the germ lies in its
+    # Jacobian ideal: the warm Tjurina run is one normal form of 4 work
+    # units that ends at zero, and its basis is the Jacobian records
+    # themselves, y^7 included.
     counters = []
     reduce = localalg._reduce
 
@@ -634,10 +748,14 @@ def test_warm_start_records_are_primitive(monkeypatch):
         "3*x^2+4*x*y^3", "6*x^2*y^2+7*y^6", "8*x*y^5-7*y^6", "y^7"]
     monkeypatch.setattr(localalg, "_reduce", spy)
     tj = extend_standard_basis(jac, [f])
-    assert [w[0] for w in counters] == [2]
-    assert [str(g) for g in tj.generators] == [
-        "3*x^2+4*x*y^3", "6*x^2*y^2+7*y^6", "8*x*y^5-7*y^6", "y^7", "x^3+2*x^2*y^3"]
+    assert [w[0] for w in counters] == [4]
+    assert len(tj._records) == 4 and all(a is b for a, b in zip(tj._records, jac._records))
+    assert [str(g) for g in tj.generators] == [str(g) for g in jac.generators]
     assert quotient_codimension(jac) == quotient_codimension(tj) == 12
+    # That normal form counts toward the budget, before any pair exists.
+    with pytest.raises(ComputationBudgetExceeded) as exc:
+        extend_standard_basis(jac, [f], step_limit=3)
+    assert exc.value.pairs_left == 0
 
 
 def test_incremental_corner_is_the_exact_corner(monkeypatch):
@@ -789,9 +907,15 @@ def test_extend_standard_basis_trivial_cases():
     assert quotient_codimension(extended) == quotient_codimension(basis)
 
 
-def test_unit_in_ideal_gives_codimension_zero():
+def test_unit_in_ideal_gives_codimension_zero(monkeypatch):
     sb = standard_basis([P("1+x")])
     assert quotient_codimension(sb) == 0
+    # Everything lies in the unit ideal: a warm start drops its new
+    # generator and returns the records and count without a recount.
+    monkeypatch.setattr(localalg, "_staircase_of",
+                        lambda *args: pytest.fail("staircase counted again"))
+    ext = extend_standard_basis(sb, [P("x^2+y")])
+    assert ext._records == sb._records and quotient_codimension(ext) == 0
 
 
 # -- staircase counting ----------------------------------------------------
