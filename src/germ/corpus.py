@@ -3,8 +3,9 @@
 Corpora are fully determined by the sweep seed.  Deformed families add
 small integer terms strictly above the weighted degree of a
 quasihomogeneous seed germ, which keeps the deformations in the
-semi-quasihomogeneous regime; non-isolated draws are reported in their
-row and excluded from ratio summaries rather than silently retried.
+semi-quasihomogeneous regime, so every seeded germ is isolated.  A
+non-isolated germ passed to :func:`evaluate_germ` directly gets a row
+that says so and is excluded from ratio summaries.
 """
 
 from __future__ import annotations
@@ -153,13 +154,14 @@ def generate_corpus(spec: SweepSpec) -> list[Polynomial]:
     return [suspend(f, spec.suspension_power) for f in deformed]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportRow:
     """One evaluated germ: invariants, verdicts, weights and timing.
 
     ``isolated`` is None when the row was never decided: it missed its
     deadline (note ``timeout``) or its work ceiling (note ``budget
-    exceeded``).
+    exceeded``).  Slotted: a sweep keeps every row, with no per-row
+    ``__dict__``.
     """
 
     index: int

@@ -10,8 +10,8 @@ total degree in the top bits and one 16-bit field per variable, a guard
 bit each.  This makes leading-term lookup an integer ``min``, and
 divisibility and the lcm of an s-pair a few bit operations; exponents
 above 2**15 - 1 raise :class:`~germ.errors.MonomialOverflowError`
-instead of wrapping.  Exponent tuples appear only where the staircase
-is counted and where a basis is read back.
+instead of wrapping.  The staircase is counted on the packed codes
+too, so exponent tuples appear only where a basis is read back.
 Basis elements are integer vectors kept in these packed records from
 the input to the final :class:`StandardBasis`; a warm start reuses them
 and reduces each new generator modulo them first, and they become
@@ -213,20 +213,28 @@ def _germ_records(terms: dict, order: LocalOrder) -> tuple[list[_Rec], _Rec]:
     that field and in the degree, with coefficient ``c*e``.  It is a
     nonzero rational multiple of the ``Fraction`` partial, whose
     primitive form with a positive leading coefficient is unique, so
-    each record equals the one :func:`_encode_poly` makes of it.
+    each record equals the one :func:`_encode_poly` makes of it.  The
+    map subtracts one constant, so it keeps the order of the sorted
+    encoding: each partial is built sorted, and one gcd and the sign of
+    its first coefficient make it primitive.
     """
-    one = 1 << order._deg_shift
+    codes = sorted(terms)
+    coefs = list(map(terms.get, codes))
     grad = []
     for s in order._shifts:
-        step = one + (1 << s)
-        part = {}
-        for k, c in terms.items():
+        step = (1 << order._deg_shift) + (1 << s)
+        keys, part = [], []
+        for k, c in zip(codes, coefs):
             e = k >> s & _FIELD_MASK
             if e:
-                part[k - step] = c * e
-        if part:
-            grad.append(_make_rec(_strip(part), order))
-    return grad, _make_rec(terms, order)
+                keys.append(k - step)
+                part.append(c * e)
+        if keys:
+            g = gcd(*part)
+            if part[0] < 0:
+                g = -g
+            grad.append(_sorted_rec(keys, [c // g for c in part] if g != 1 else part, order))
+    return grad, _sorted_rec(codes, coefs, order)
 
 
 def _decode_poly(terms: dict, order: LocalOrder) -> Polynomial:
@@ -235,9 +243,13 @@ def _decode_poly(terms: dict, order: LocalOrder) -> Polynomial:
 
 def _make_rec(terms: dict, order: LocalOrder) -> _Rec:
     codes = sorted(terms)
-    lm = codes[0]
-    return _Rec(lm, terms[lm], codes[1:], list(map(terms.get, codes[1:])),
-                order.degree(codes[-1]) - order.degree(lm))
+    return _sorted_rec(codes, list(map(terms.get, codes)), order)
+
+
+def _sorted_rec(keys: list, coefs: list, order: LocalOrder) -> _Rec:
+    """The record of the terms with ascending codes ``keys`` and ``coefs``."""
+    return _Rec(keys[0], coefs[0], keys[1:], coefs[1:],
+                order.degree(keys[-1]) - order.degree(keys[0]))
 
 
 def _cut(rec: _Rec, corner_code: int, order: LocalOrder) -> _Rec:
@@ -333,62 +345,73 @@ def _coprime_skip(f: _Rec, g: _Rec, lcm_code: int) -> bool:
     return f.coefs[0] * g.lc != g.coefs[0] * f.lc
 
 
-def _staircase(gens: Sequence[Monomial], nvars: int) -> tuple[int, int, tuple] | None:
+def _staircase(codes: Sequence[int], nfields: int,
+               deg_shift: int) -> tuple[int, int, list[int]] | None:
     """Size, largest degree and top layer of the staircase of a monomial ideal.
 
-    ``gens`` is any generating set; None when the staircase is infinite.
-    Slicing on the last variable ``z``: with ``z^p`` the smallest pure
-    power of ``z`` (none leaves the staircase infinite), the staircase
-    is the disjoint union over ``c < p`` of ``z^c`` times the staircase
-    of the slice generated by the generators with ``z``-exponent at most
-    ``c``, that exponent dropped.  The slice changes only at such an
-    exponent, so each distinct slice is counted once for its run of
-    ``c``.  No slice contains 1, which would take a power ``z^e`` with
-    ``e <= c < p``, so each adds to the staircase.  The top layer lists the staircase monomials of largest
-    degree: the layers of the slices that reach it, each lifted at the
-    last ``c`` of its run.  The largest degree is -1 and the layer empty
-    when the staircase is empty.
+    ``codes`` packs any generating set in ``nfields`` exponent fields
+    with nothing above them, in a ring whose degree sits at
+    ``deg_shift``; None when the staircase is infinite.  Slicing on the
+    most significant field, of a variable ``z``: with ``z^p`` the
+    smallest pure power of ``z`` (none leaves the staircase infinite),
+    the staircase is the disjoint union over ``c < p`` of ``z^c`` times
+    the staircase of the slice generated by the generators with
+    ``z``-exponent at most ``c``, that field dropped.  Sorted codes
+    ascend in ``z``-exponent, so the slice grows along them and changes
+    only at such an exponent: each distinct slice is counted once for
+    its run of ``c``.  No slice contains 1, which would take a power
+    ``z^e`` with ``e <= c < p``, so each adds to the staircase.  The top
+    layer lists the full packed codes of the staircase monomials of
+    largest degree: the layers of the slices that reach it, each lifted
+    at the last ``c`` of its run.  The largest degree is -1 and the
+    layer empty when the staircase is empty.
     """
-    if nvars == 1:
-        if not gens:
+    codes = sorted(codes)
+    shift = _FIELD_BITS * (nfields - 1)  # of the slicing field
+    if not shift:
+        if not codes:
             return None
-        e = min(m[0] for m in gens)
-        return (e, e - 1, ((e - 1,),)) if e else (0, -1, ())
-    last = nvars - 1
-    p = min((m[last] for m in gens if not any(m[:last])), default=None)
-    if p is None:
+        e = codes[0]
+        return (e, e - 1, [(e - 1) * ((1 << deg_shift) + 1)]) if e else (0, -1, [])
+    low = (1 << shift) - 1  # the fields of a slice
+    for k in codes:
+        if not k & low:  # the first pure power is the smallest
+            p = k >> shift
+            break
+    else:
         return None
-    gens = sorted(gens, key=lambda m: m[last])
-    count, top, layer = 0, -1, ()
-    cut: list[Monomial] = []  # the current slice
+    lift = (1 << shift) + (1 << deg_shift)  # z times a packed code
+    count, top, layer = 0, -1, []
+    cut: list[int] = []  # the current slice
     i = c = 0
     while c < p:
-        while gens[i][last] <= c:
-            cut.append(gens[i][:last])
+        while codes[i] >> shift <= c:
+            cut.append(codes[i] & low)
             i += 1
-        run_end = gens[i][last]  # the pure power z^p keeps this at most p
-        part = _staircase(cut, last)
+        run_end = codes[i] >> shift  # the pure power z^p keeps this at most p
+        part = _staircase(cut, nfields - 1, deg_shift)
         if part is None:
             return None
         size, t, lay = part
         count += (run_end - c) * size
         t += run_end - 1
         if t > top:
-            top, layer = t, ()
+            top, layer = t, []
         if t == top:
-            layer += tuple(m + (run_end - 1,) for m in lay)
+            up = (run_end - 1) * lift
+            layer += [m + up for m in lay]
         c = run_end
     return count, top, layer
 
 
-def _staircase_of(records: Sequence[_Rec], order: LocalOrder) -> tuple[int, int, tuple] | None:
+def _staircase_of(records: Sequence[_Rec], order: LocalOrder) -> tuple[int, int, list[int]] | None:
     """``(size, largest degree, top layer)`` of the staircase of a leading ideal.
 
-    The one place where leading monomials are decoded for the
-    recursion: None while some variable still lacks a pure power (the
-    staircase is infinite), ``(0, -1, ())`` when the ideal contains 1.
+    None while some variable still lacks a pure power (the staircase is
+    infinite), ``(0, -1, [])`` when the ideal contains 1.
     """
-    return _staircase([order.decode(r.lm) for r in records], order.nvars)
+    low = order._low
+    return _staircase([r.lm & low for r in records], order.nvars, order._deg_shift)
 
 
 def _add_shifted(h: dict, a: int, s: int, rec: _Rec, corner_code: int,
@@ -606,8 +629,7 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
             if stairs is None:
                 size = INFINITE
                 return
-            size = stairs[0]
-            outside = [order.encode(m) for m in stairs[2]]
+            size, _, outside = stairs
         # One past the highest corner; 0 when the staircase is empty.
         code = max(outside) + 1 if outside else 0
         if code == corner_code:
@@ -738,10 +760,8 @@ def _complete_homogeneous(records: list[_Rec], order: LocalOrder, work: list,
         if rem:
             records.append(_make_rec(rem, order))
             push_pairs(len(records) - 1)
-    stairs = _staircase_of(records, order)
-    if stairs is None:
-        return StandardBasis(records, order, [], INFINITE)
-    return StandardBasis(records, order, [order.encode(m) for m in stairs[2]], stairs[0])
+    size, _, layer = _staircase_of(records, order) or (INFINITE, 0, [])
+    return StandardBasis(records, order, layer, size)
 
 
 def _prepare_records(gens: Sequence[Polynomial | _Rec], order: LocalOrder) -> list[_Rec]:

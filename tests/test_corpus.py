@@ -1,7 +1,9 @@
 """Sweep families, determinism, report rows."""
 
+import copy
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from germ import SweepSpec, generate_corpus, selftest, sweep
+from germ.corpus import evaluate_row
+from germ.poly import parse_polynomial
 
 #: sha256 of the newline-joined printed germs, per (family, seed) at the
 #: default ranges and count.  A change to any corpus builder shows here.
@@ -135,6 +139,18 @@ def test_rows_are_ordered_and_timed():
     result = sweep(SweepSpec(family="fermat", d_min=2, d_max=4))
     assert [r.index for r in result.rows] == [0, 1, 2]
     assert all(r.wall_time_s >= 0 for r in result.rows)
+
+
+def test_report_rows_are_slotted_and_pickle_equal():
+    # A sweep keeps every row, so a row carries no instance dict; the
+    # slotted, frozen rows still cross the worker pipe and deep-copy.
+    f = parse_polynomial("x^3+y^4+x^2*y^2", ("x", "y"))
+    rows = [evaluate_row(0, f, None), evaluate_row(1, f * f, None)]
+    assert rows[0].report is not None and rows[1].note
+    for row in rows:
+        assert not hasattr(row, "__dict__")
+        for other in (pickle.loads(pickle.dumps(row)), copy.deepcopy(row)):
+            assert other == row
 
 
 def test_parallel_sweep_matches_serial():

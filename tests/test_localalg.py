@@ -771,7 +771,7 @@ def test_incremental_corner_is_the_exact_corner(monkeypatch):
     def spy(h, records, order, corner_code, work, step_limit, **kw):
         stairs = _staircase_of(records, order)
         exact = (localalg._beyond_codes(order) if stairs is None
-                 else max((order.encode(m) for m in stairs[2]), default=-1) + 1)
+                 else max(stairs[2], default=-1) + 1)
         assert corner_code == exact
         checked.append(corner_code)
         return reduce(h, records, order, corner_code, work, step_limit, **kw)
@@ -866,7 +866,7 @@ def test_carried_count_is_the_recounted_staircase():
             size, _, layer = _staircase_of(basis._records, order)
             assert basis._size in (None, size)
             seen.add(basis._size is None)
-            assert sorted(basis._layer) == sorted(order.encode(m) for m in layer)
+            assert sorted(basis._layer) == sorted(layer)
         mu, tau = quotient_codimension(jac), quotient_codimension(tj)
         assert (jac._size, tj._size) == (mu, tau)
         seen.add((tau == mu, tj._size is not None))
@@ -927,6 +927,22 @@ def test_codimension_examples():
     assert quotient_codimension(standard_basis([P("x")])) == INFINITE
 
 
+def packed_staircase(gens, order):
+    """``localalg._staircase`` of ``gens`` encoded in ``order``, its top layer decoded.
+
+    Every code of the layer must be the full packed code of its monomial,
+    degree included.
+    """
+    stairs = localalg._staircase([order.encode(m) & order._low for m in gens],
+                                 order.nvars, order._deg_shift)
+    if stairs is None:
+        return None
+    size, top, layer = stairs
+    monos = [order.decode(k) for k in layer]
+    assert layer == [order.encode(m) for m in monos]
+    return size, top, monos
+
+
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
 def test_staircase_count_matches_brute_enumeration(nvars):
     rng = random.Random(5 + nvars)
@@ -944,20 +960,50 @@ def test_staircase_count_matches_brute_enumeration(nvars):
         basis = standard_basis([Polynomial(vars, {m: 1}) for m in mins], order)
         assert quotient_codimension(basis) == len(stairs)
         # the highest corner: one above the largest staircase degree, and
-        # the top layer: the staircase monomials of that largest degree
+        # the top layer: the packed codes of the staircase monomials of
+        # that largest degree
         size, top, layer = _staircase_of(basis._records, order)
         assert size == len(stairs)
         assert top + 1 == max((sum(m) for m in stairs), default=-1) + 1
-        assert sorted(layer) == sorted(m for m in stairs if sum(m) == top)
+        assert sorted(layer) == sorted(order.encode(m) for m in stairs if sum(m) == top)
         # the recursion itself takes redundant generators as they come
-        size, top, layer = localalg._staircase(list(gens), nvars)
+        size, top, layer = packed_staircase(list(gens), order)
         assert size == len(stairs)
         assert top == max((sum(m) for m in stairs), default=-1)
         assert sorted(layer) == sorted(m for m in stairs if sum(m) == top)
         # without a pure power of one variable the staircase is infinite
         i = draw % nvars
         open_gens = [m for m in gens if any(e for j, e in enumerate(m) if j != i)]
-        assert localalg._staircase(open_gens, nvars) is None
+        assert packed_staircase(open_gens, order) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)),
+    st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=6),
+    st.lists(st.integers(0, 6), min_size=n, max_size=n))))
+def test_packed_staircase_matches_brute_enumeration_under_every_precedence(draw):
+    # The recursion slices on the most significant packed field, the
+    # last precedence variable, so which variable it slices on depends
+    # on the precedence; size, top degree and the decoded top layer must
+    # not.  A power of 0 adds no pure power of its variable.
+    perm, gens, powers = draw
+    nvars = len(perm)
+    vars = ("x", "y", "z", "w")[:nvars]
+    order = LocalOrder(vars, [vars[i] for i in perm])
+    gens = gens + [tuple(p if j == i else 0 for j in range(nvars))
+                   for i, p in enumerate(powers) if p]
+    finite = all(any(not any(e for j, e in enumerate(m) if j != i) for m in gens)
+                 for i in range(nvars))
+    stairs = packed_staircase(gens, order)
+    if not finite:
+        assert stairs is None
+        return
+    box = [max(m[i] for m in gens) + 1 for i in range(nvars)]
+    monos = brute_staircase(gens, nvars, box)
+    top = max((sum(m) for m in monos), default=-1)
+    assert stairs[:2] == (len(monos), top)
+    assert sorted(stairs[2]) == sorted(m for m in monos if sum(m) == top)
 
 
 @pytest.mark.parametrize("gens,nvars,expected", [
@@ -966,13 +1012,13 @@ def test_staircase_count_matches_brute_enumeration(nvars):
     ([(3, 4), (0, 4)], 2, None),
     ([], 2, None),
     ([], 1, None),
-    ([(0, 0)], 2, (0, -1, ())),  # the unit ideal
-    ([(0,)], 1, (0, -1, ())),
-    ([(2, 1, 0), (0, 0, 0), (0, 0, 5)], 3, (0, -1, ())),
-    ([(3,), (5,)], 1, (3, 2, ((2,),))),
+    ([(0, 0)], 2, (0, -1, [])),  # the unit ideal
+    ([(0,)], 1, (0, -1, [])),
+    ([(2, 1, 0), (0, 0, 0), (0, 0, 5)], 3, (0, -1, [])),
+    ([(3,), (5,)], 1, (3, 2, [(2,)])),
 ])
 def test_staircase_edge_cases(gens, nvars, expected):
-    assert localalg._staircase(gens, nvars) == expected
+    assert packed_staircase(gens, LocalOrder(("x", "y", "z")[:nvars])) == expected
 
 
 def _power_of_maximal_ideal(nvars, degree):
@@ -987,13 +1033,14 @@ def _power_of_maximal_ideal(nvars, degree):
 def test_staircase_of_maximal_ideal_power_is_fast(nvars, degree):
     # m^D has a staircase of C(nvars + D - 1, nvars) monomials, all those
     # of degree below D, and its top layer is every monomial of degree D - 1.
-    gens = _power_of_maximal_ideal(nvars, degree)
+    order = LocalOrder([f"x{i}" for i in range(nvars)])
+    codes = [order.encode(m) & order._low for m in _power_of_maximal_ideal(nvars, degree)]
     start = time.perf_counter()
-    size, top, layer = localalg._staircase(gens, nvars)
+    size, top, layer = localalg._staircase(codes, nvars, order._deg_shift)
     elapsed = time.perf_counter() - start
     assert size == math.comb(nvars + degree - 1, nvars)
     assert top == degree - 1
-    assert sorted(layer) == sorted(_power_of_maximal_ideal(nvars, degree - 1))
+    assert sorted(layer) == sorted(map(order.encode, _power_of_maximal_ideal(nvars, degree - 1)))
     assert elapsed < 1.0
 
 
@@ -1110,7 +1157,7 @@ def test_lazard_completion_matches_mora(monkeypatch):
             assert quotient_codimension(new) == quotient_codimension(old)
             stairs = _staircase_of(new._records, order)
             assert new._size == (INFINITE if stairs is None else stairs[0])
-            assert sorted(new._layer) == sorted(order.encode(m) for m in (stairs or (0, 0, ()))[2])
+            assert sorted(new._layer) == sorted((stairs or (0, 0, []))[2])
         assert all(mora_normal_form(g, list(lazard.generators), order) == 0 for g in gens)
         moved += len(lazard._records) != len(jac._records)
     assert moved >= 10
