@@ -23,7 +23,7 @@ from itertools import accumulate
 
 from .bounds import BOUND_IDS, BoundReport, bound_report
 from .errors import ComputationBudgetExceeded
-from .invariants import WeightVector, germ_invariants, suspend
+from .invariants import WeightVector, _no_lanes, germ_invariants, suspend
 from .poly import _ONE, Polynomial, parse_polynomial
 
 FAMILIES = ("fermat", "suspension", "quasihomogeneous_2var", "deformed_quasihomogeneous")
@@ -268,7 +268,8 @@ def sweep(spec: SweepSpec, threads: int = 1, timeout: float | None = None) -> Sw
         # Imported here: the pool brings in multiprocessing, pickle and
         # logging, which no serial caller should pay for.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # The workers fork no Tjurina lanes: their siblings use the other CPUs.
+        with ProcessPoolExecutor(max_workers=threads, initializer=_no_lanes) as pool:
             rows = list(pool.map(evaluate_row, *jobs,
                                  chunksize=max(1, len(germs) // (32 * threads))))
     else:

@@ -4,6 +4,15 @@ The Milnor number is the codimension of the gradient ideal in the local
 ring, the Tjurina number the codimension after adjoining the germ
 itself.  Both are computed exactly through local standard bases; a germ
 is isolated exactly when its Milnor number is finite.
+
+A germ that leaves the precedence portfolio's probe round races its
+Tjurina number on a second CPU (:func:`_raced`): one forked lane
+completes the Tjurina ideal from scratch under round 1's leader while
+this process finishes the gradient basis, a second runs the warm start
+from that basis, and the first answer is taken.  Both complete the same
+ideal, so no answer depends on which lane wins, and this process
+computes it itself when no lane answers.  Germs decided in the probe
+round, and every germ in a sweep worker, run in one process.
 """
 
 from __future__ import annotations
@@ -11,6 +20,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import signal
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -71,6 +83,47 @@ def _order(vars: tuple[str, ...], precedence: tuple[str, ...]) -> LocalOrder:
     return LocalOrder(vars, precedence)
 
 
+def _round(runs, budget: int) -> tuple[StandardBasis, _Rec] | tuple[None, list]:
+    """One portfolio round at ``budget`` over ``runs`` in rank order,
+    each ``(pairs left by its last run, order, that run's budget,
+    encoded f)``: the winner's basis with the record of ``f`` in its
+    order, or None with the failed runs ranked for the next round."""
+    failed = []
+    for rank, (left, order, spent, terms) in enumerate(runs):
+        limit = max(budget >> 2 * rank, _BUDGETS[0])
+        if limit <= spent:  # it would fail the same way again
+            failed.append((left, order, spent, terms))
+            continue
+        grad, frec = _germ_records(terms, order)
+        try:
+            return standard_basis(grad, order, step_limit=limit), frec
+        except ComputationBudgetExceeded as exc:
+            failed.append((exc.pairs_left, order, limit, terms))
+    return None, sorted(failed, key=lambda run: run[0])  # stable
+
+
+def _probe_round(f: Polynomial) -> tuple[StandardBasis, _Rec] | tuple[None, list]:
+    """Round 0 of the portfolio of :func:`_portfolio_basis`, as :func:`_round`."""
+    _require_germ(f)
+    orders = (_order(f.vars, p) for p in _candidate_precedences(f.vars))
+    # Only the encoding is kept: holding every order's records through
+    # the winning run raised benchmark_germ's peak RSS by about 0.15 MB.
+    return _round(((0, order, 0, _encode_poly(f, order)) for order in orders), _BUDGETS[0])
+
+
+def _later_rounds(ranked: list) -> tuple[StandardBasis, _Rec]:
+    """The rounds after the probe, from its ranked runs, as in
+    :func:`_portfolio_basis`."""
+    for budget in _BUDGETS[1:]:
+        jac, rest = _round(ranked, budget)
+        if jac is not None:
+            return jac, rest
+        ranked = rest
+    raise ComputationBudgetExceeded(
+        f"no variable precedence finished within its budget; the last round's "
+        f"leader ran out of {_BUDGETS[-1]} work units")
+
+
 def _portfolio_basis(f: Polynomial) -> tuple[StandardBasis, _Rec]:
     """Gradient standard basis of a valid germ ``f`` under the cheapest
     variable precedence, with the record of ``f`` in the winner's order.
@@ -100,30 +153,13 @@ def _portfolio_basis(f: Polynomial) -> tuple[StandardBasis, _Rec]:
     so the returned basis, and everything derived from it, is
     reproducible.  When no precedence finishes within the last round,
     whose leader alone gets the last budget, the germ is left undecided
-    with :class:`ComputationBudgetExceeded`.
+    with :class:`ComputationBudgetExceeded`.  Round 0 is
+    :func:`_probe_round` and the later rounds :func:`_later_rounds`;
+    between them :func:`_mu_tau` forks its Tjurina lanes, once round 0
+    has ranked the runs and so named round 1's leader.
     """
-    _require_germ(f)
-    orders = (_order(f.vars, p) for p in _candidate_precedences(f.vars))
-    # (pairs left by its last run, order, that run's budget, encoded f).
-    # Only the encoding is kept: holding every order's records through
-    # the winning run raised benchmark_germ's peak RSS by about 0.15 MB.
-    ranked = ((0, order, 0, _encode_poly(f, order)) for order in orders)
-    for budget in _BUDGETS:
-        failed = []
-        for rank, (left, order, spent, terms) in enumerate(ranked):
-            limit = max(budget >> 2 * rank, _BUDGETS[0])
-            if limit <= spent:  # it would fail the same way again
-                failed.append((left, order, spent, terms))
-                continue
-            grad, frec = _germ_records(terms, order)
-            try:
-                return standard_basis(grad, order, step_limit=limit), frec
-            except ComputationBudgetExceeded as exc:
-                failed.append((exc.pairs_left, order, limit, terms))
-        ranked = sorted(failed, key=lambda run: run[0])  # stable
-    raise ComputationBudgetExceeded(
-        f"no variable precedence finished within its budget; the last round's "
-        f"leader ran out of {_BUDGETS[-1]} work units")
+    jac, rest = _probe_round(f)
+    return (jac, rest) if jac is not None else _later_rounds(rest)
 
 
 def jacobian_basis(f: Polynomial) -> StandardBasis:
@@ -138,7 +174,8 @@ def milnor_number(f: Polynomial) -> int | float:
 
 def _tau(frec: _Rec, jac: StandardBasis, mu: int | float) -> int | float:
     """Tjurina number from the gradient basis, warm-started with the
-    record ``frec`` of the germ ``f`` in the basis's order.
+    record ``frec`` of the germ ``f`` in the basis's order; lane B of
+    :func:`_raced`.
 
     ``f`` lies in the integral closure of ``m*J``, so ``V(J, f) = V(J)``
     and ``tau`` is finite exactly when ``mu`` is; an infinite ``mu`` needs
@@ -149,10 +186,160 @@ def _tau(frec: _Rec, jac: StandardBasis, mu: int | float) -> int | float:
     return quotient_codimension(extend_standard_basis(jac, [frec]))
 
 
+def _scratch_tau(terms: dict, order: LocalOrder) -> int | float:
+    """Tjurina number of the germ encoded as ``terms`` in ``order``,
+    completed from scratch; lane A of :func:`_raced`."""
+    grad, frec = _germ_records(terms, order)
+    return quotient_codimension(standard_basis(grad + [frec], order))
+
+
+#: Whether this process may fork Tjurina lanes at all: only where
+#: ``os.sched_getaffinity`` exists (Linux), and cleared by
+#: :func:`_no_lanes` in sweep workers.
+_LANES = hasattr(os, "sched_getaffinity")
+
+#: Blocked from a lane's fork until its pid is listed, so neither a
+#: deadline nor an interrupt can lose a child; they stay blocked in it.
+_LANE_SIGNALS = (signal.SIGALRM, signal.SIGINT)
+
+#: Linux ``prctl`` option: the signal a process gets when its parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _no_lanes() -> None:
+    """Initializer of a sweep's worker processes: the other workers
+    already use the other CPUs, so no germ forks Tjurina lanes there."""
+    global _LANES
+    _LANES = False
+
+
+def _lanes_fit() -> bool:
+    """Whether a germ that leaves the probe round races its Tjurina
+    lanes: this process may run on at least two CPUs and is no sweep
+    worker."""
+    return _LANES and len(os.sched_getaffinity(0)) >= 2
+
+
+@functools.cache
+def _prctl():
+    """The C library's ``prctl``, or None where it cannot be loaded."""
+    try:
+        import ctypes
+        return ctypes.CDLL(None).prctl
+    except (ImportError, OSError, AttributeError):
+        return None
+
+
+def _fork_lane(lanes: list, lane, *args) -> None:
+    """Fork a child that runs ``lane(*args)`` and writes its result as
+    one ASCII line to a pipe; list its pid and the pipe's read end in
+    ``lanes``.  A fork that the system refuses lists nothing.
+
+    The child runs only the lane and leaves through ``os._exit`` in a
+    ``finally``, so it never returns into the caller's frames (pytest,
+    the command line or a pool worker), flushes no inherited buffer and
+    runs no exit handler.  It asks the kernel for ``SIGKILL`` when its
+    parent dies (``PR_SET_PDEATHSIG``), so a parent killed by a signal
+    that runs no ``finally`` leaves no lane running either.
+    """
+    prctl = _prctl()  # loaded here: the child imports nothing
+    parent = os.getpid()
+    r, w = os.pipe()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _LANE_SIGNALS)
+    pid = None
+    try:
+        pid = os.fork()
+        if not pid:
+            try:
+                if prctl is not None:
+                    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+                if os.getppid() == parent:  # else it died before the prctl
+                    os.write(w, f"{lane(*args)}\n".encode("ascii"))
+            finally:
+                os._exit(0)
+        lanes.append((pid, r))
+    except OSError:  # no process to spare: the caller goes on without it
+        pass
+    finally:
+        os.close(w)
+        if pid is None:
+            os.close(r)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _first_answer(fds: list[int]) -> int | None:
+    """The first Tjurina number written to one of the lane pipes ``fds``,
+    or None when every lane closes its pipe without one."""
+    import select  # only a germ that left the probe round loads it
+    while fds:
+        for fd in select.select(fds, [], [])[0]:
+            line = os.read(fd, 64)
+            if line.endswith(b"\n"):
+                return int(line)
+            fds.remove(fd)
+    return None
+
+
+def _raced(ranked: list) -> tuple[int | float, int | float]:
+    """Milnor and Tjurina numbers of a germ that left the probe round,
+    from the runs that round ``ranked``, with ``tau`` raced in two lanes.
+
+    Lane A, forked first, completes the Tjurina ideal from scratch under
+    round 1's leader (:func:`_scratch_tau`) while this process runs the
+    later rounds.  Once ``mu`` is known, lane B runs the warm start
+    :func:`_tau` from the winner's basis, and the first lane to answer
+    gives ``tau``.  Both lanes complete the same ideal, so the answer
+    does not depend on which one wins.  Lane B is needed: the leader may
+    lose its round, and from scratch under a loser ``tau`` can take far
+    longer (35-43 s under (x,z,y) against 0.14-0.16 s under the winner
+    (y,x,z) on ``x^12+y^4*z^8+z^12+x^6*z^6+(x+y+z)^13``).  A lane that closes
+    its pipe without an answer is dropped, and when none answers this
+    process runs :func:`_tau` itself, so no answer depends on a child.
+    An infinite ``mu`` gives an infinite ``tau`` with no lane waited
+    for.  On every exit, a budget error, a deadline's ``TimeoutError``
+    and ``KeyboardInterrupt`` included (they propagate unchanged), every
+    lane is killed and reaped and its pipe closed.
+    """
+    lanes: list[tuple[int, int]] = []
+    try:
+        _, leader, _, terms = ranked[0]
+        _fork_lane(lanes, _scratch_tau, terms, leader)
+        jac, frec = _later_rounds(ranked)
+        mu = quotient_codimension(jac)
+        if mu == INFINITE:
+            return mu, INFINITE
+        _fork_lane(lanes, _tau, frec, jac, mu)
+        tau = _first_answer([fd for _, fd in lanes])
+        return mu, _tau(frec, jac, mu) if tau is None else tau
+    finally:
+        for pid, fd in lanes:
+            with suppress(ProcessLookupError, ChildProcessError):  # reaped elsewhere
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(fd)
+
+
+def _mu_tau(f: Polynomial) -> tuple[int | float, int | float]:
+    """Milnor and Tjurina numbers of a valid germ ``f``.
+
+    A germ decided in the probe round, as every ladder and sweep germ
+    is, runs the warm start :func:`_tau` in this process.  A germ that
+    leaves it races its Tjurina lanes (:func:`_raced`) where
+    :func:`_lanes_fit` allows, and otherwise runs the later rounds and
+    the warm start in this process.
+    """
+    jac, rest = _probe_round(f)
+    if jac is None:
+        if _lanes_fit():
+            return _raced(rest)
+        jac, rest = _later_rounds(rest)
+    mu = quotient_codimension(jac)
+    return mu, _tau(rest, jac, mu)
+
+
 def tjurina_number(f: Polynomial) -> int | float:
     """Codimension of the ideal generated by the germ and its gradient."""
-    jac, frec = _portfolio_basis(f)
-    return _tau(frec, jac, quotient_codimension(jac))
+    return _mu_tau(f)[1]
 
 
 def germ_invariants(f: Polynomial) -> GermInvariants:
@@ -161,9 +348,7 @@ def germ_invariants(f: Polynomial) -> GermInvariants:
     The gradient standard basis is reused as a warm start for the
     Tjurina ideal, so this is cheaper than two independent runs.
     """
-    jac, frec = _portfolio_basis(f)
-    mu = quotient_codimension(jac)
-    tau = _tau(frec, jac, mu)
+    mu, tau = _mu_tau(f)
     return GermInvariants(
         germ_dimension=len(f.vars) - 1,
         mu=mu,

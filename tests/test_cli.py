@@ -404,12 +404,14 @@ def test_sweep_summary_lists_noted_violations(capsys, monkeypatch, row_timeouts)
 
 def test_sweep_timeout_keeps_worker_pool(capsys, monkeypatch):
     # Per-row deadlines run inside the workers, so --timeout honours --threads.
+    # The workers fork no Tjurina lanes, since their siblings use the
+    # other CPUs.
     pools = []
     real_pool = concurrent.futures.ProcessPoolExecutor
 
-    def spy(max_workers):
-        pools.append(max_workers)
-        return real_pool(max_workers=max_workers)
+    def spy(max_workers, **kwargs):
+        pools.append((max_workers, kwargs))
+        return real_pool(max_workers=max_workers, **kwargs)
 
     args = ["sweep", "--family", "fermat", "--d-min", "2", "--d-max", "4",
             "--json", "--reproducible"]
@@ -418,7 +420,7 @@ def test_sweep_timeout_keeps_worker_pool(capsys, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     code, pooled, _ = run(capsys, *args, "--timeout", "60", "--threads", "2")
     assert code == 0
-    assert pools == [2]
+    assert pools == [(2, {"initializer": germ.invariants._no_lanes})]
     assert pooled == serial
 
 

@@ -2,10 +2,15 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import germ.corpus
 import germ.invariants
 import germ.localalg
 from germ import (INFINITE, NotAGermError, Polynomial, SweepSpec, find_positive_weights,
@@ -242,6 +247,184 @@ def test_germ_invariants_encodes_the_germ_once_per_order_tried(monkeypatch):
     assert partials == []
 
 
+def _forks(monkeypatch, lanes):
+    """Set the lane predicate to ``lanes``; the list records each fork's pid."""
+    forks = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(germ.invariants, "_lanes_fit", lambda: lanes)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_child(lane):
+    """``lane`` wrapped to run on in this process and to raise in a child."""
+    parent = os.getpid()
+
+    def wrapped(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("lane died")
+        return lane(*args)
+
+    return wrapped
+
+
+CHEAP_PAPER_SHAPE = "x^7+y^3*z^4+z^7+x^4*z^3+(x+y+z)^8"  # mu 234, tau 181, wins at 1M
+
+
+@pytest.mark.parametrize("text,ring", [
+    # The paper's germ in the ring orders of benchmark seeds 0 and 1.
+    (PAPER_GERM, XYZ), (PAPER_GERM, XZY), (PAPER_GERM, YZX),
+    # The rows of test_portfolio_attempts_on_cheap_paper_shape_rows_are_pinned.
+    (CHEAP_PAPER_SHAPE, XYZ), ("x^9+y*z^8+z^9+x^6*z^3+(x+y+z)^10", XYZ),
+], ids=["paper-xyz", "paper-xzy", "paper-yzx", "mu234", "mu568"])
+def test_tjurina_lanes_give_the_serial_answers(monkeypatch, text, ring):
+    # A germ that leaves the probe round forks lane A (from scratch under
+    # round 1's leader) and, once mu is known, lane B (the warm start);
+    # whichever answers first, mu and tau are those of the serial path,
+    # and no child is left once the germ is answered.
+    f = P(text, ring)
+    forks = _forks(monkeypatch, False)
+    serial = germ_invariants(f)
+    assert forks == []
+    monkeypatch.setattr(germ.invariants, "_lanes_fit", lambda: True)
+    assert germ_invariants(f) == serial
+    assert len(forks) == 2
+    _assert_no_child()
+
+
+def test_lanes_are_reaped_when_the_budget_runs_out(monkeypatch):
+    # With a 20,000-unit round 1 the paper's germ fails after the probe
+    # round, while lane A runs: it is killed and reaped and the budget
+    # error propagates.
+    forks = _forks(monkeypatch, True)
+    monkeypatch.setattr(germ.invariants, "_BUDGETS", (15_625, 20_000))
+    with pytest.raises(ComputationBudgetExceeded, match="out of 20000 "):
+        germ_invariants(P(PAPER_GERM, XYZ))
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("seconds,hang", [(0.05, False), (1.0, True)],
+                         ids=["probe-round", "waiting-on-lanes"])
+def test_lanes_are_reaped_past_the_deadline(monkeypatch, seconds, hang):
+    # The paper's germ at 0.05 s misses its deadline in the probe round;
+    # with lanes that never answer, a germ misses it while this process
+    # waits on their pipes.  Either way the row is a timeout row and no
+    # child is left.
+    forks = _forks(monkeypatch, True)
+    text = PAPER_GERM
+    if hang:
+        def stall(*args):  # ends by itself should a lane outlive the test
+            time.sleep(30)
+
+        monkeypatch.setattr(germ.invariants, "_scratch_tau", stall)
+        monkeypatch.setattr(germ.invariants, "_tau", stall)
+        text = CHEAP_PAPER_SHAPE
+    row = germ.corpus.evaluate_row(0, P(text, XYZ), seconds)
+    assert (row.note, row.mu, row.tau) == ("timeout", None, None)
+    assert len(forks) == (2 if hang else 0)
+    _assert_no_child()
+
+
+def test_lanes_are_reaped_on_interrupt(monkeypatch):
+    def interrupt(fds):
+        raise KeyboardInterrupt
+
+    forks = _forks(monkeypatch, True)
+    monkeypatch.setattr(germ.invariants, "_first_answer", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        germ_invariants(P(CHEAP_PAPER_SHAPE, XYZ))
+    assert len(forks) == 2
+    _assert_no_child()
+
+
+def test_a_lane_that_dies_without_answering_is_dropped(monkeypatch):
+    # Lane A raises in its child, which leaves with no answer; lane B
+    # gives tau.  When both die, this process runs the warm start itself.
+    forks = _forks(monkeypatch, True)
+    monkeypatch.setattr(germ.invariants, "_scratch_tau",
+                        _in_child(germ.invariants._scratch_tau))
+    assert tjurina_number(P(PAPER_GERM, XYZ)) == 1660
+    monkeypatch.setattr(germ.invariants, "_tau", _in_child(germ.invariants._tau))
+    assert tjurina_number(P(CHEAP_PAPER_SHAPE, XYZ)) == 181
+    assert len(forks) == 4
+    _assert_no_child()
+
+
+NEAR_TIE = "x^12+y^4*z^8+z^12+x^6*z^6+(x+y+z)^13"  # lane A takes 35-43 s
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_a_lane_dies_with_its_parent():
+    # A parent killed by SIGKILL runs no finally; the kernel then kills
+    # lane A, which from scratch under (x,z,y) would run on for 35-43 s.
+    script = "\n".join([
+        "import os, germ.invariants",
+        "from germ import germ_invariants, parse_polynomial",
+        "real = os.fork",
+        "def fork():",
+        "    pid = real()",
+        "    if pid:",
+        "        print(pid, flush=True)",
+        "    return pid",
+        "os.fork = fork",
+        "germ.invariants._lanes_fit = lambda: True",
+        f"germ_invariants(parse_polynomial({NEAR_TIE!r}, ('x', 'y', 'z')))",
+    ])
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    try:
+        lane = int(proc.stdout.readline())
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    give_up = time.monotonic() + 10
+    while _alive(lane) and time.monotonic() < give_up:
+        time.sleep(0.05)
+    if _alive(lane):
+        os.kill(lane, 9)
+        pytest.fail("lane A outlived its parent")
+
+
+def test_a_refused_fork_leaves_the_work_to_this_process(monkeypatch):
+    def refuse():
+        raise BlockingIOError("no process to spare")
+
+    _forks(monkeypatch, True)
+    monkeypatch.setattr(os, "fork", refuse)
+    inv = germ_invariants(P(CHEAP_PAPER_SHAPE, XYZ))
+    assert (inv.mu, inv.tau) == (234, 181)
+    _assert_no_child()
+
+
+def test_sweep_workers_fork_no_lanes():
+    # corpus.sweep starts its worker pool with this initializer.
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(1, initializer=germ.invariants._no_lanes) as pool:
+        assert pool.submit(germ.invariants._lanes_fit).result() is False
+
+
 @pytest.mark.parametrize("germs", [
     [P(f"x^{d}+y^{d}+z^{d}+(x+y+z)^{d + 1}", ("x", "y", "z")) for d in range(10, 13)],
     generate_corpus(SweepSpec("deformed_quasihomogeneous", seed=3, a_max=12, b_max=12,
@@ -251,12 +434,18 @@ def test_germ_invariants_encodes_the_germ_once_per_order_tried(monkeypatch):
 def test_cheap_germs_finish_in_the_probe_round(monkeypatch, germs):
     # The superisolated ladder and the sweep families need at most a few
     # hundred work units, so the first attempt of round 0 (the ring's own
-    # order at the probe budget) is their only one.
+    # order at the probe budget) is their only one.  Their Tjurina
+    # number is the warm start in this process: no lane is forked, and
+    # the CPU predicate is not even asked.
     attempts = _spy_attempts(monkeypatch)
+    forks = _forks(monkeypatch, True)
+    asked = []
+    monkeypatch.setattr(germ.invariants, "_lanes_fit", lambda: asked.append(True) or True)
     for f in germs:
         attempts.clear()
-        jacobian_basis(f)
+        germ_invariants(f)
         assert attempts == [(f.vars, germ.invariants._BUDGETS[0], "ok")], str(f)
+    assert forks == [] and asked == []
 
 
 def test_probe_winner_builds_only_its_own_order(monkeypatch):
