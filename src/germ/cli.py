@@ -213,9 +213,10 @@ def _cmd_semigroup(args) -> int:
         print(f"warning: {w.message}", file=sys.stderr)
     cert = certify_plane_branch(s.generators)
     mu = 2 * s.delta if cert is not None else None  # branch_milnor(s), not certified again
+    gaps = list(s.gaps)  # listed anew on each read
     payload = {
         "generators": list(s.generators),
-        "gaps": list(s.gaps),
+        "gaps": gaps,
         "delta": s.delta,
         "conductor": s.conductor,
         "plane_branch": cert is not None,
@@ -229,7 +230,7 @@ def _cmd_semigroup(args) -> int:
             "equations": [str(p) for p in cert.as_polynomials()],
         })
     lines = [f"semigroup <{','.join(str(g) for g in s.generators)}>",
-             f"gaps: {list(s.gaps)}",
+             f"gaps: {gaps}",
              f"delta={s.delta}  conductor={s.conductor}"]
     if cert is None:
         lines.append("plane branch: no")

@@ -49,10 +49,18 @@ class GermInvariants:
 
     @property
     def ratio(self) -> Fraction | None:
-        """mu / tau as an exact rational; None unless both are finite."""
+        """mu / tau as an exact rational; None unless both are finite.
+
+        Germs with equal (mu, tau) share one ratio, as their sweep rows
+        share one bound report.
+        """
         if isinstance(self.mu, int) and isinstance(self.tau, int) and self.tau:
-            return Fraction(self.mu, self.tau)
+            return _ratio(self.mu, self.tau)
         return None
+
+
+#: The shared ``Fraction(mu, tau)``; a sweep repeats few distinct pairs.
+_ratio = functools.lru_cache(maxsize=1024)(Fraction)
 
 
 def _require_germ(f: Polynomial) -> None:

@@ -2,7 +2,8 @@
 
 A numerical semigroup is a cofinite additive submonoid of the naturals.
 Membership, gaps, delta and the conductor are computed exactly through
-the Apery set of the smallest generator.  A semigroup is certified as
+the Apery set of the smallest generator, which is all a semigroup
+stores: its gaps are listed only when read.  A semigroup is certified as
 the semigroup of a plane branch when its gcd chain satisfies the two
 classical conditions, in which case the Milnor number of any branch
 realizing it is twice the gap count and the associated monomial curve
@@ -21,11 +22,12 @@ from .poly import Polynomial
 
 #: The largest multiplicity (smallest generator) and conductor that
 #: :func:`semigroup_from_generators` accepts.  The Apery set has one
-#: entry per residue of the multiplicity and the gaps number up to the
-#: conductor, so both stay below a tenth of a second; a semigroup other
-#: than the naturals has a conductor at least its multiplicity, so the
-#: multiplicity is checked first, before the Apery set that minimizing
-#: the generators builds.
+#: entry per residue of the multiplicity, and a read of
+#: :attr:`NumericalSemigroup.gaps` (as ``germ semigroup`` prints) lists
+#: up to the conductor, so both stay below a tenth of a second; a
+#: semigroup other than the naturals has a conductor at least its
+#: multiplicity, so the multiplicity is checked first, before the Apery
+#: set that minimizing the generators builds.
 _MAX_CONDUCTOR = 100_000
 
 
@@ -105,14 +107,14 @@ def _minimal_valid(gens: Sequence[int], verb: str) -> tuple[tuple[int, ...], lis
 
 @dataclass(frozen=True)
 class NumericalSemigroup:
-    """Semigroup data: minimal generators, gaps, delta, conductor.
+    """Semigroup data: minimal generators, delta, conductor, Apery set.
 
     ``apery[r]`` is the least member congruent to ``r`` modulo the
-    smallest generator, which decides membership in O(1).
+    smallest generator, which decides membership in O(1) and lists the
+    gaps.
     """
 
     generators: tuple[int, ...]
-    gaps: tuple[int, ...]
     delta: int
     conductor: int
     apery: tuple[int, ...]
@@ -122,6 +124,13 @@ class NumericalSemigroup:
             return False
         return x >= self.apery[x % self.generators[0]]
 
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        """The ``delta`` non-members in increasing order, listed anew on
+        each read: a semigroup keeps only its Apery set."""
+        apery, m = self.apery, self.generators[0]
+        return tuple(x for x in range(self.conductor) if x < apery[x % m])
+
 
 def semigroup_from_generators(gens: Sequence[int]) -> NumericalSemigroup:
     """Build the semigroup generated by ``gens`` (gcd must be 1).
@@ -129,15 +138,17 @@ def semigroup_from_generators(gens: Sequence[int]) -> NumericalSemigroup:
     Non-minimal generating sets are minimized with a warning.  A
     multiplicity past :data:`_MAX_CONDUCTOR` raises ``ValueError``
     before the generators are minimized, a conductor past it before
-    the gaps are listed.
+    any read can list the gaps.  ``delta`` is Selmer's formula
+    ``sum(apery)/m - (m-1)/2`` over the multiplicity m, so the
+    semigroup costs O(m) once its Apery set is built.
     """
     minimal, apery = _minimal_valid(gens, "using")
-    a = minimal[0]
-    conductor = max(apery) - a + 1
+    m = minimal[0]
+    conductor = max(apery) - m + 1
     if conductor > _MAX_CONDUCTOR:
         raise ValueError(f"conductor {conductor} exceeds the bound {_MAX_CONDUCTOR}")
-    gaps = tuple(x for x in range(conductor) if x < apery[x % a])
-    return NumericalSemigroup(minimal, gaps, len(gaps), conductor, tuple(apery))
+    delta = (sum(apery) - m * (m - 1) // 2) // m
+    return NumericalSemigroup(minimal, delta, conductor, tuple(apery))
 
 
 # ----------------------------------------------------------------------

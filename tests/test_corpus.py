@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import germ.corpus
 from germ import SweepSpec, generate_corpus, selftest, sweep
 from germ.corpus import evaluate_row
 from germ.poly import parse_polynomial
@@ -106,14 +107,16 @@ def test_quasihomogeneous_sweep_rows():
     for row in result.rows:
         assert row.mu == row.tau
     assert result.violations == ()
-    # x^a+y^b and x^b+y^a have equal (mu, tau, n), so their rows share one report
+    # x^a+y^b and x^b+y^a have equal (mu, tau, n), so their rows share
+    # one report and one ratio
     by_pair = {}
     for row in result.rows:
-        by_pair.setdefault((row.mu, row.tau, row.n), []).append(row.report)
-    shared = [reports for reports in by_pair.values() if len(reports) > 1]
+        by_pair.setdefault((row.mu, row.tau, row.n), []).append(row)
+    shared = [rows for rows in by_pair.values() if len(rows) > 1]
     assert len(shared) == 10
     for first, *rest in shared:
-        assert all(report is first for report in rest)
+        assert all(row.report is first.report for row in rest)
+        assert all(row.ratio is first.ratio for row in rest)
 
 
 def test_deformed_sweep_satisfies_the_catalog():
@@ -133,6 +136,33 @@ def test_suspension_sweep_matches_base():
     for b, t in zip(base.rows, top.rows):
         assert (b.mu, b.tau) == (t.mu, t.tau)
         assert t.n == 2
+
+
+def test_serial_sweep_builds_germs_in_batches_between_rows(monkeypatch):
+    # A serial sweep holds no corpus: the germs of a batch are drawn
+    # only after every row of the batch before.
+    events = []
+    draw, evaluate = germ.corpus._deformations, germ.corpus.evaluate_row
+
+    def spy_draw(*args):
+        events.append("draw")
+        return draw(*args)
+
+    def spy_evaluate(index, f, seconds):
+        events.append(f"row {index}")
+        return evaluate(index, f, seconds)
+
+    monkeypatch.setattr(germ.corpus, "_deformations", spy_draw)
+    monkeypatch.setattr(germ.corpus, "evaluate_row", spy_evaluate)
+    batch = germ.corpus._BATCH
+    spec = SweepSpec(family="suspension", seed=3, count=2 * batch + 3)
+    result = sweep(spec)
+    expected = []
+    for start in range(0, spec.count, batch):
+        stop = min(start + batch, spec.count)
+        expected += ["draw"] * (stop - start) + [f"row {i}" for i in range(start, stop)]
+    assert events == expected
+    assert [row.germ for row in result.rows] == list(map(str, generate_corpus(spec)))
 
 
 def test_rows_are_ordered_and_timed():

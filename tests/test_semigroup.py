@@ -1,9 +1,14 @@
 """Numerical semigroups, plane-branch certificates, monomial curves."""
 
+import copy
+import dataclasses
 import math
+import pickle
+import warnings
 from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import germ.semigroup
 from germ import (NotPlaneBranchError, bound_report, branch_milnor,
@@ -58,6 +63,43 @@ def test_membership_consistency():
         assert (x in s) == (x in members)
     assert s.conductor - 1 in s.gaps
     assert all(x in s for x in range(s.conductor, s.conductor + 20))
+
+
+@st.composite
+def generator_sets(draw):
+    """1-4 generators with gcd 1 and multiplicity at most 40."""
+    m = draw(st.integers(1, 40))
+    gens = [m, *draw(st.lists(st.integers(m + 1, 200), max_size=2))]
+    g = math.gcd(*gens)
+    if g > 1 or draw(st.booleans()):
+        gens.append(draw(st.integers(m + 1, 200).filter(lambda x: math.gcd(g, x) == 1)))
+    return gens
+
+
+def dp_gaps(gens):
+    """Oracle: the gaps by a dynamic-programming recount of the members."""
+    bound = min(gens) * max(gens)  # every Apery element is below it
+    member = [True] + [False] * bound
+    for x in range(1, bound + 1):
+        member[x] = any(g <= x and member[x - g] for g in gens)
+    assert all(member[bound - min(gens) + 1:])  # cofinite past here
+    return tuple(x for x in range(bound) if not member[x])
+
+
+@given(generator_sets())
+@settings(max_examples=150, deadline=None)
+def test_delta_and_gaps_match_a_recount(gens):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a drawn set may be non-minimal
+        s = semigroup_from_generators(gens)
+    gaps = dp_gaps(gens)
+    assert s.delta == len(s.gaps) == len(gaps)
+    assert s.gaps == gaps
+    assert s.conductor == (gaps[-1] + 1 if gaps else 0)
+    # the gaps are derived from the Apery set on each read, never stored
+    assert "gaps" not in {f.name for f in dataclasses.fields(s)}
+    for other in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert other == s and other.gaps == s.gaps
 
 
 def test_semigroup_validation():
