@@ -36,8 +36,8 @@ FAMILIES = ("fermat", "suspension", "quasihomogeneous_2var", "deformed_quasihomo
 #: germ draws from ``(a+3)*(b+3)`` candidate terms, ``quasihomogeneous_2var``
 #: makes one germ per ``(a, b)``, and a sweep in worker processes builds
 #: its corpus in full before the first germ is evaluated (20,000
-#: suspension germs at ``a, b <= 100`` take about 1 s, at a peak RSS of
-#: about 50 MB).
+#: suspension germs at ``a, b <= 100`` take 0.5-0.7 s, at a peak RSS of
+#: about 35 MB).
 _MAX_AB = 100
 _MAX_COUNT = 20_000
 
