@@ -7,9 +7,9 @@ semi-quasihomogeneous regime, so every seeded germ is isolated.  A
 non-isolated germ passed to :func:`evaluate_germ` directly gets a row
 that says so and is excluded from ratio summaries.
 
-A serial sweep builds its germs in small batches as it evaluates them,
-so its memory grows only with the rows it returns; a sweep in worker
-processes hands the pool the whole corpus.
+A serial sweep builds each germ only after the row before it, so its
+memory grows only with the rows it returns; a sweep in worker processes
+hands the pool the whole corpus.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, repeat
 
 from .bounds import BOUND_IDS, BoundReport, bound_report
 from .errors import ComputationBudgetExceeded
@@ -40,11 +40,6 @@ FAMILIES = ("fermat", "suspension", "quasihomogeneous_2var", "deformed_quasihomo
 #: about 35 MB).
 _MAX_AB = 100
 _MAX_COUNT = 20_000
-
-#: A serial sweep builds its germs this many at a time.  Building each
-#: germ between two rows cost 4-9% more CPU per sweep than building the
-#: corpus first; batches of 16 cost no measurable time and hold a few KB.
-_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -278,9 +273,8 @@ def sweep(spec: SweepSpec, threads: int = 1, timeout: float | None = None) -> Sw
     """
     if threads < 1:
         raise ValueError("thread count must be positive")
-    germs = _germs(spec)
-    if threads > 1:
-        germs = list(germs)  # Executor.map submits every chunk at once
+    # Executor.map submits every chunk at once, so the pool takes a list.
+    germs = generate_corpus(spec) if threads > 1 else _germs(spec)
     if threads > 1 and len(germs) > 1:
         # Imported here: the pool brings in multiprocessing, pickle and
         # logging, which no serial caller should pay for.
@@ -290,10 +284,8 @@ def sweep(spec: SweepSpec, threads: int = 1, timeout: float | None = None) -> Sw
             rows = tuple(pool.map(evaluate_row, range(len(germs)), germs, repeat(timeout),
                                   chunksize=max(1, len(germs) // (32 * threads))))
     else:
-        # Germs are built a batch at a time, after every row before them.
-        batches = iter(lambda: list(islice(germs, _BATCH)), [])
-        rows = tuple(evaluate_row(i, f, timeout)
-                     for i, f in enumerate(chain.from_iterable(batches)))
+        # Serially, each germ is built after the row before it.
+        rows = tuple(evaluate_row(i, f, timeout) for i, f in enumerate(germs))
     return summarize(spec, rows)
 
 

@@ -138,9 +138,8 @@ def test_suspension_sweep_matches_base():
         assert t.n == 2
 
 
-def test_serial_sweep_builds_germs_in_batches_between_rows(monkeypatch):
-    # A serial sweep holds no corpus: the germs of a batch are drawn
-    # only after every row of the batch before.
+def test_serial_sweep_builds_each_germ_after_the_row_before(monkeypatch):
+    # A serial sweep holds no corpus: germ i+1 is drawn only after row i.
     events = []
     draw, evaluate = germ.corpus._deformations, germ.corpus.evaluate_row
 
@@ -154,14 +153,9 @@ def test_serial_sweep_builds_germs_in_batches_between_rows(monkeypatch):
 
     monkeypatch.setattr(germ.corpus, "_deformations", spy_draw)
     monkeypatch.setattr(germ.corpus, "evaluate_row", spy_evaluate)
-    batch = germ.corpus._BATCH
-    spec = SweepSpec(family="suspension", seed=3, count=2 * batch + 3)
+    spec = SweepSpec(family="suspension", seed=3, count=5)
     result = sweep(spec)
-    expected = []
-    for start in range(0, spec.count, batch):
-        stop = min(start + batch, spec.count)
-        expected += ["draw"] * (stop - start) + [f"row {i}" for i in range(start, stop)]
-    assert events == expected
+    assert events == [e for i in range(spec.count) for e in ("draw", f"row {i}")]
     assert [row.germ for row in result.rows] == list(map(str, generate_corpus(spec)))
 
 
@@ -185,7 +179,8 @@ def test_report_rows_are_slotted_and_pickle_equal():
 
 def test_parallel_sweep_matches_serial():
     strip = lambda rows: [(r.index, r.germ, r.mu, r.tau, r.report) for r in rows]
-    for count in (8, 200):  # 200 germs reach the workers in batches of 3 rows
+    # 1 germ starts no pool; 200 germs reach the workers in batches of 3 rows
+    for count in (1, 8, 200):
         spec = SweepSpec(family="deformed_quasihomogeneous", seed=5, count=count)
         serial = sweep(spec, threads=1)
         parallel = sweep(spec, threads=2)
