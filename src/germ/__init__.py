@@ -15,8 +15,7 @@ from .invariants import (GermInvariants, find_positive_weights, germ_invariants,
                          milnor_number, suspend, tjurina_number)
 from .jets import jet_quotient_dimension
 from .localalg import (GREATER, INFINITE, LESS, EQUAL, LocalOrder, StandardBasis,
-                       extend_standard_basis, mora_normal_form, quotient_codimension,
-                       standard_basis)
+                       extend_standard_basis, quotient_codimension, standard_basis)
 from .poly import Monomial, Polynomial, parse_polynomial
 from .semigroup import (NumericalSemigroup, PlaneBranchCertificate, branch_milnor,
                         certify_plane_branch, minimal_generators, monomial_curve_equations,
@@ -34,7 +33,7 @@ __all__ = [
     "suspend", "tjurina_number",
     "jet_quotient_dimension",
     "GREATER", "INFINITE", "LESS", "EQUAL", "LocalOrder", "StandardBasis",
-    "extend_standard_basis", "mora_normal_form", "quotient_codimension", "standard_basis",
+    "extend_standard_basis", "quotient_codimension", "standard_basis",
     "Monomial", "Polynomial", "parse_polynomial",
     "NumericalSemigroup", "PlaneBranchCertificate",
     "branch_milnor", "certify_plane_branch", "minimal_generators",

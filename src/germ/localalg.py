@@ -1,4 +1,4 @@
-"""Local monomial orders, Mora normal forms, and standard bases.
+"""Local monomial orders, standard bases, and ideal membership.
 
 Computations happen in the localization of the polynomial ring at the
 origin.  The monomial order is negative-degree reverse-lexicographic:
@@ -298,7 +298,8 @@ class StandardBasis:
     of its top layer (exact whenever the staircase is finite and not
     empty, empty otherwise), and ``_size``, the number of its monomials
     (:data:`INFINITE` when it is infinite), or None when a record with a
-    new leading monomial came after the last count.
+    new leading monomial came after the last count.  :meth:`contains`
+    decides ideal membership.
     """
 
     def __init__(self, records: list[_Rec], order: LocalOrder,
@@ -316,6 +317,21 @@ class StandardBasis:
     def generators(self) -> tuple[Polynomial, ...]:
         return tuple(_decode_poly({**dict(zip(r.keys, r.coefs)), r.lm: r.lc}, self.order)
                      for r in self._records)
+
+    def contains(self, p: Polynomial) -> bool:
+        """Whether ``p`` lies in the ideal of this basis in the local ring.
+
+        The ideal is contained in the ideal enlarged by ``p``, and in the
+        local ring two such ideals are equal exactly when their leading
+        ideals are (Greuel-Pfister, *A Singular Introduction to
+        Commutative Algebra*, sec. 1.6-1.7): ``p`` is a member exactly
+        when :func:`extend_standard_basis` leaves the leading ideal as it
+        is.  Below a certified corner that extension reduces ``p`` with
+        no snapshot, and before one it moves to Lazard's completion when
+        snapshots compound, so every verdict terminates.  The basis is
+        left unchanged; a ``p`` from another ring raises ``ValueError``.
+        """
+        return set(extend_standard_basis(self, [p]).leading_ideal) == set(self.leading_ideal)
 
 
 def _minimalize(gens: Sequence[Monomial]) -> list[Monomial]:
@@ -445,8 +461,7 @@ def _add_shifted(h: dict, a: int, s: int, rec: _Rec, corner_code: int,
 
 
 def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
-            work: list, step_limit: int | None, degree: int | None = None,
-            bits_limit: int | None = None) -> dict:
+            work: list, step_limit: int | None, degree: int | None = None) -> dict:
     """Reduce the integer vector ``h`` by ``records`` to its remainder.
 
     Returns the remainder as a primitive integer vector, empty when
@@ -465,9 +480,9 @@ def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
     read as homogeneous of that degree, a reducer qualifies only if its
     ecart is at most ``degree`` minus the degree of the leading
     monomial, no snapshot is taken, and the remainder is returned as
-    soon as the minimal-ecart reducer does not qualify.  A snapshot
-    reduction whose multiplier passes ``bits_limit`` bits raises
-    :class:`_Runaway`.
+    soon as the minimal-ecart reducer does not qualify.  Otherwise a
+    snapshot reduction whose multiplier passes :data:`_RUNAWAY_BITS`
+    bits raises :class:`_Runaway`.
 
     The reduction is fraction-free: the active remainder is the integer
     vector ``h`` times the rational scale ``sn/sd``.  A step by a reducer
@@ -530,7 +545,7 @@ def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
         den = sd * lc
         g = gcd(num, den)
         bits = (num // g).bit_length() + (den // g).bit_length()
-        if mora and bits_limit is not None and bits > bits_limit:
+        if mora and degree is None and bits > _RUNAWAY_BITS:
             raise _Runaway
         work[0] += (bits >> 3) + len(best.keys) * ((bits >> 7) + (bits * bits >> 18))
         g = gcd(a, lc)
@@ -688,7 +703,7 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
             continue
         try:
             rem = _reduce(_spoly(fi, gj, lcm_code, order, corner_code), records, order,
-                          corner_code, work, step_limit, bits_limit=_RUNAWAY_BITS)
+                          corner_code, work, step_limit)
         except ComputationBudgetExceeded as exc:
             exc.pairs_left = len(heap)
             raise
@@ -820,42 +835,6 @@ def extend_standard_basis(basis: StandardBasis, extra: Sequence[Polynomial], *,
     start = len(records)
     records.extend(new)
     return _complete(records, start, order, step_limit, basis._layer, basis._size)
-
-
-def mora_normal_form(p: Polynomial, G: Sequence[Polynomial], order: LocalOrder | None = None) -> Polynomial:
-    """Mora weak normal form of ``p`` modulo the reducers ``G``.
-
-    The result ``r`` satisfies ``u*p - r`` in the ideal generated by
-    ``G`` for some unit ``u`` of the local ring; ``r`` is zero exactly
-    when ``p`` lies in the ideal generated by ``G`` in the local ring,
-    and otherwise no leading monomial of the final reducer set divides
-    the leading monomial of ``r``.  Nonzero results are normalized to
-    primitive integer coefficients with positive leading coefficient.
-    ``p`` and every reducer must live in the ring of ``order``.
-
-    When the snapshots compound their coefficients (see
-    :data:`_RUNAWAY_BITS`), membership is decided by completion instead:
-    ``p`` lies in the ideal exactly when adding it leaves the leading
-    ideal of a standard basis of ``G`` unchanged, and then the result is
-    zero.  Otherwise the reduction runs on without the bound.
-    """
-    if order is None:
-        order = LocalOrder(p.vars)
-    if p.vars != order.variables:
-        raise ValueError("the polynomial must live in the ring of the order")
-    reducers = _prepare_records(G, order)
-    h = _encode_poly(p, order)
-    if not h:
-        return p
-    beyond = _beyond_codes(order)
-    try:
-        return _decode_poly(_reduce(h, reducers, order, beyond, [0], None,
-                                    bits_limit=_RUNAWAY_BITS), order)
-    except _Runaway:
-        basis = _complete(list(reducers), 0, order)
-        if set(extend_standard_basis(basis, [p]).leading_ideal) == set(basis.leading_ideal):
-            return _decode_poly({}, order)
-    return _decode_poly(_reduce(h, reducers, order, beyond, [0], None), order)
 
 
 # ----------------------------------------------------------------------

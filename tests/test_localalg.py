@@ -1,4 +1,4 @@
-"""Local order, Mora normal form, standard bases, staircase counting."""
+"""Local order, standard bases, ideal membership, staircase counting."""
 
 import bisect
 import copy
@@ -14,8 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from germ import (EQUAL, GREATER, INFINITE, LESS, LocalOrder, MonomialOverflowError,
                   Polynomial, extend_standard_basis, jet_quotient_dimension,
-                  mora_normal_form, parse_polynomial, quotient_codimension, standard_basis,
-                  wahl_tau_min)
+                  parse_polynomial, quotient_codimension, standard_basis, wahl_tau_min)
 from germ import invariants, localalg
 from germ.corpus import SweepSpec, generate_corpus
 from germ.invariants import germ_invariants
@@ -95,28 +94,28 @@ def test_encode_decode_roundtrip(m):
         assert order.degree(order.encode(m)) == sum(m)
 
 
-# -- Mora normal form -----------------------------------------------------
+# -- ideal membership -------------------------------------------------------
 
 
-def test_nf_examples():
+def test_contains_examples():
     x, y = P("x"), P("y")
-    assert mora_normal_form(P("x^2"), [x]) == 0
-    assert mora_normal_form(x, [y]) == x
-    # irreducible input still comes back primitive, leading coefficient positive
-    assert mora_normal_form(P("-2*x"), [y]) == x
-    assert mora_normal_form(P("4/3*x"), [y]) == x
-    assert mora_normal_form(P("-2*x+y^2"), [y]) == P("2*x-y^2")
-    assert mora_normal_form(P("-2*x"), []) == x
-    # p from another ring than the order's is rejected, not read in the
-    # order's variables (x+y^2 would come back as y+x^2, or as x^2 mod y)
+    basis = standard_basis([x])
+    records = list(basis._records)
+    assert basis.contains(P("x^2")) and basis.contains(Polynomial.zero(V2))
+    assert not basis.contains(y) and not standard_basis([y]).contains(x)
+    # a nonzero constant term makes a member of the unit ideal only
+    assert not basis.contains(P("1+x"))
+    assert standard_basis([P("1+x")]).contains(y)
+    assert basis._records == records and basis.leading_ideal == ((1, 0),)
+    # another ring than the basis's is rejected, not read in its
+    # variables (x+y^2 would be read as y+x^2, a member of (x))
     swapped = LocalOrder(("y", "x"))
-    with pytest.raises(ValueError):
-        mora_normal_form(P("x+y^2"), [], swapped)
-    with pytest.raises(ValueError):
-        mora_normal_form(P("x+y^2"), [P("y", ("y", "x"))], swapped)
+    for gen in ("x", "y"):
+        with pytest.raises(ValueError):
+            standard_basis([P(gen, ("y", "x"))], swapped).contains(P("x+y^2"))
 
 
-def test_nf_local_unit_example():
+def test_contains_local_unit_example():
     # y - y^2 = y*(1 - y) and 1 - y is a unit of the local ring, so y lies
     # in the ideal.  Oracle: multiply y - y^2 by the truncated inverse
     # 1 + y + y^2 + ... of the unit and observe that only a term of
@@ -125,20 +124,10 @@ def test_nf_local_unit_example():
     truncated_inverse = sum((P("y") ** k for k in range(1, 30)), P("1"))
     residue = g * truncated_inverse - P("y")
     assert residue.min_degree() >= 30
-    assert mora_normal_form(P("y"), [g]) == 0
+    assert standard_basis([g]).contains(P("y"))
 
 
-def test_nf_respects_leading_ideal():
-    basis = standard_basis([P("2*x*y"), P("x^2+3*y^2")])
-    for text in ["x^3", "x^2*y", "y^4+x^5", "x^2+x*y+y^3"]:
-        r = mora_normal_form(P(text), list(basis.generators))
-        if r:
-            lead = min(r.terms, key=basis.order.encode)
-            assert not any(all(a >= b for a, b in zip(lead, g))
-                           for g in basis.leading_ideal)
-
-
-def test_nf_confluence_zero_verdict_under_reducer_permutations():
+def test_contains_verdict_under_generator_permutations():
     basis = standard_basis([P("x^2+y^3"), P("x*y")])
     gens = list(basis.generators)
     rng = random.Random(3)
@@ -148,7 +137,7 @@ def test_nf_confluence_zero_verdict_under_reducer_permutations():
         for _ in range(6):
             shuffled = gens[:]
             rng.shuffle(shuffled)
-            verdicts.add(mora_normal_form(p, shuffled) == 0)
+            verdicts.add(standard_basis(shuffled).contains(p))
         assert len(verdicts) == 1
 
 
@@ -467,7 +456,7 @@ def test_standard_basis_self_reduction_property():
                  [P("x^3-2*y^4"), P("x*y^2+y^5"), P("y^6+x^5")]):
         sb = standard_basis(gens)
         for g in sb.generators:
-            assert mora_normal_form(g, list(sb.generators)) == 0
+            assert sb.contains(g)
 
 
 def test_standard_basis_rejects_empty():
@@ -1069,25 +1058,34 @@ exps2 = st.tuples(st.integers(0, 4), st.integers(0, 4))
 
 
 @given(st.dictionaries(exps2, coeffs, min_size=1, max_size=4),
+       st.dictionaries(exps2, coeffs, min_size=1, max_size=4),
        st.dictionaries(exps2, coeffs, min_size=1, max_size=4))
 @settings(max_examples=30, deadline=None)
 # Two draws that stalled under Mora's snapshots: the completion of the
-# ideal (y), and a normal form of the combination below.
+# ideal (y), and a reduction of the combination below.
 @example({(1, 1): 1, (1, 2): 2, (0, 4): -4, (4, 3): 4},
-         {(0, 1): -2, (3, 2): 2, (4, 4): -2, (3, 1): -2})
+         {(0, 1): -2, (3, 2): 2, (4, 4): -2, (3, 1): -2}, {(1, 0): 1})
 @example({(2, 0): -4, (2, 1): 1, (1, 4): -4, (4, 4): -1},
-         {(2, 0): -5, (1, 3): -2, (4, 1): 4})
-def test_basis_members_reduce_to_zero(d1, d2):
+         {(2, 0): -5, (1, 3): -2, (4, 1): 4}, {(0, 1): 2, (3, 0): -1})
+# A finite colength of 5: the jet oracle below runs.
+@example({(2, 0): 1, (0, 3): 1}, {(1, 1): 1}, {(0, 2): 3, (3, 0): 1})
+def test_basis_members_reduce_to_zero(d1, d2, d3):
     gens = [Polynomial(V2, d1), Polynomial(V2, d2)]
     gens = [g for g in gens if g]
     if not gens:
         return
     sb = standard_basis(gens)
     for g in sb.generators:
-        assert mora_normal_form(g, list(sb.generators)) == 0
-    # random ideal elements also reduce to zero
+        assert sb.contains(g)
+    # random ideal elements are members too
     combo = gens[0] * P("x+y^2") + (gens[-1] * P("3+x*y") if len(gens) > 1 else 0)
-    assert mora_normal_form(combo, list(sb.generators)) == 0
+    assert sb.contains(combo)
+    # Independent oracle, which builds no basis: p is a member exactly
+    # when adding it leaves the colength of the ideal as it is.
+    colength = quotient_codimension(sb)
+    if colength <= 30:
+        for p in (combo, Polynomial(V2, d3)):
+            assert sb.contains(p) == (jet_quotient_dimension(gens + [p]) == colength)
 
 def test_compounding_snapshots_move_the_completion_to_lazard(monkeypatch):
     # The ideal (y) of the local ring: the snapshots of Mora's first
@@ -1106,14 +1104,37 @@ def test_compounding_snapshots_move_the_completion_to_lazard(monkeypatch):
     assert lazard and sb.leading_ideal == ((0, 1),)
     assert quotient_codimension(sb) == INFINITE and sb._layer == []
     for p in gens + [P("y"), P("y+x^9*y")]:
-        assert mora_normal_form(p, list(sb.generators)) == 0
-    assert mora_normal_form(P("x"), list(sb.generators)) == P("x")
+        assert sb.contains(p)
+    assert not sb.contains(P("x"))
 
 
-def test_compounding_normal_form_decides_membership_by_completion(monkeypatch):
+def test_compounding_non_member_is_decided_through_lazard(monkeypatch):
+    # The ideal is not isolated and its leading ideal is (y^2, x^3*y).
+    # The leading monomial x*y of p lies outside it, which proves that p
+    # is not a member.  The extension's snapshots compound, so the
+    # verdict comes from Lazard's completion.
+    gens = [P("4*y^2-2*x^4*y^4"), P("4*y^3+2*x^3*y+4*x^4*y^2")]
+    sb = standard_basis(gens)
+    assert set(sb.leading_ideal) == {(0, 2), (3, 1)}
+    assert quotient_codimension(sb) == INFINITE
+    p = P("-3*x*y+12*y^4+12*x*y^5-6*x^4*y^6-6*x^5*y^7")
+    assert min(p.terms, key=sb.order.encode) == (1, 1)
+    lazard = []
+    homogeneous = localalg._complete_homogeneous
+
+    def spy(records, order, work, step_limit):
+        lazard.append(len(records))
+        return homogeneous(records, order, work, step_limit)
+
+    monkeypatch.setattr(localalg, "_complete_homogeneous", spy)
+    assert not sb.contains(p)
+    assert lazard
+
+
+def test_compounding_member_is_decided_by_its_extension_alone(monkeypatch):
     # Mora's reduction of this ideal member by a standard basis compounds
     # its snapshots; adding it leaves the leading ideal as it is, so it
-    # reduces to zero.
+    # is a member, and the extension is the only completion run.
     completions = []
     complete = localalg._complete
 
@@ -1125,15 +1146,15 @@ def test_compounding_normal_form_decides_membership_by_completion(monkeypatch):
     sb = standard_basis(gens)
     monkeypatch.setattr(localalg, "_complete", spy)
     combo = gens[0] * P("x+y^2") + gens[1] * P("3+x*y")
-    assert mora_normal_form(combo, list(sb.generators)) == 0
-    assert len(completions) == 2  # the reducers alone, then with the member
+    assert sb.contains(combo)
+    assert len(completions) == 1
 
 
 def test_lazard_completion_matches_mora(monkeypatch):
     # Differential test of the fallback: forced from the first snapshot
     # reduction on, Lazard's completion finds the same leading ideal and
     # codimension as Mora's, carries the recounted staircase, and its
-    # basis reduces every generator to zero.
+    # basis contains every generator.
     V3 = ("x", "y", "z")
     germs = [(P(t), V2) for t in ("x^3+y^7+2*x^2*y^3", "x^2*y^2+x^5", "x^2*y^2+y^3*x^3")]
     germs += [(P(t, V3), prec) for t in ("x^2+y^3+z^7+x*y*z", "x^2*y+y^2*z+z^3*x", "x^2+y^2*z")
@@ -1158,6 +1179,6 @@ def test_lazard_completion_matches_mora(monkeypatch):
             stairs = _staircase_of(new._records, order)
             assert new._size == (INFINITE if stairs is None else stairs[0])
             assert sorted(new._layer) == sorted((stairs or (0, 0, []))[2])
-        assert all(mora_normal_form(g, list(lazard.generators), order) == 0 for g in gens)
+        assert all(lazard.contains(g) for g in gens)
         moved += len(lazard._records) != len(jac._records)
     assert moved >= 10
