@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import warnings
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 
@@ -298,33 +299,37 @@ def _cmd_tau_min(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = SweepSpec(**{f.name: getattr(args, f.name) for f in fields(SweepSpec)})
     result = sweep(spec, threads=args.threads, timeout=args.timeout)
+    # One walk over the rows: each is built from the sweep's table when read.
+    lines, rows, undecided = [], [], []
+    isolated, notes = Counter(), Counter()
+    for r in result.rows:
+        ratio = f"{r.ratio} ~ {float(r.ratio):.4f}" if r.ratio is not None else "-"
+        note = f"  [{r.note}]" if r.note else ""
+        lines.append(f"[{r.index:3d}] {r.germ}: {_mu_tau_text(r)} mu/tau={ratio}{note}")
+        rows.append(_row_json(r, args.reproducible))
+        isolated[r.isolated] += 1
+        notes[r.note] += 1
+        if r.isolated is None:
+            undecided.append(r)
     summary = {
-        "germs": len(result.rows),
-        "isolated": sum(1 for r in result.rows if r.isolated),
+        "germs": len(rows),
+        "isolated": isolated[True],
         **_fraction_fields("min_ratio", result.min_ratio),
         **_fraction_fields("max_ratio", result.max_ratio),
         **_fraction_fields("min_4_3_margin", result.min_43_margin),
         "violations": list(result.violations),
     }
-    lines = []
-    for r in result.rows:
-        ratio = f"{r.ratio} ~ {float(r.ratio):.4f}" if r.ratio is not None else "-"
-        note = f"  [{r.note}]" if r.note else ""
-        lines.append(f"[{r.index:3d}] {r.germ}: {_mu_tau_text(r)} mu/tau={ratio}{note}")
-    non_isolated = sum(1 for r in result.rows if r.isolated is False)
-    timeouts = sum(1 for r in result.rows if r.note == "timeout")
-    over_budget = sum(1 for r in result.rows if r.note == "budget exceeded")
     lines.append(f"summary: {summary['germs']} germs, {summary['isolated']} isolated, "
-                 f"{non_isolated} non-isolated, {timeouts} timed out, "
-                 f"{over_budget} over budget, "
+                 f"{isolated[False]} non-isolated, {notes['timeout']} timed out, "
+                 f"{notes['budget exceeded']} over budget, "
                  f"min ratio {result.min_ratio}, max ratio {result.max_ratio}, "
                  f"min 4/3 margin {result.min_43_margin}, "
                  f"{len(result.violations)} bound violations")
-    rows = [_row_json(r, args.reproducible) for r in result.rows]
     _emit(args, {"family": spec.family, "seed": spec.seed, "rows": rows, "summary": summary},
           lines, rows)
-    undecided = _undecided(result.rows, args.timeout)
-    return EXIT_COMPUTE if (result.violations or undecided) else EXIT_OK
+    if _undecided(undecided, args.timeout) or result.violations:
+        return EXIT_COMPUTE
+    return EXIT_OK
 
 
 def _cmd_selftest(args) -> int:

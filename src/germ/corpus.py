@@ -7,9 +7,10 @@ semi-quasihomogeneous regime, so every seeded germ is isolated.  A
 non-isolated germ passed to :func:`evaluate_germ` directly gets a row
 that says so and is excluded from ratio summaries.
 
-A serial sweep builds each germ only after the row before it, so its
-memory grows only with the rows it returns; a sweep in worker processes
-hands the pool the whole corpus.
+A sweep builds each germ only when it is due: serially after the row
+before it, in worker processes when its chunk enters a bounded window
+of chunks in flight.  Its rows are kept by column in one table, so its
+memory grows by about 110 bytes per row.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import signal
 import time
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, compress, islice
 
 from .bounds import BOUND_IDS, BoundReport, bound_report
 from .errors import ComputationBudgetExceeded
@@ -34,10 +36,9 @@ FAMILIES = ("fermat", "suspension", "quasihomogeneous_2var", "deformed_quasihomo
 
 #: Largest ``a_max``/``b_max`` and ``count`` a sweep accepts: a deformed
 #: germ draws from ``(a+3)*(b+3)`` candidate terms, ``quasihomogeneous_2var``
-#: makes one germ per ``(a, b)``, and a sweep in worker processes builds
-#: its corpus in full before the first germ is evaluated (20,000
-#: suspension germs at ``a, b <= 100`` take 0.5-0.7 s, at a peak RSS of
-#: about 35 MB).
+#: makes one germ per ``(a, b)``, and ``generate_corpus`` lists the
+#: whole corpus (20,000 suspension germs at ``a, b <= 100`` take
+#: 0.5-0.7 s, at a peak RSS of about 35 MB).
 _MAX_AB = 100
 _MAX_COUNT = 20_000
 
@@ -160,6 +161,15 @@ def _germs(spec: SweepSpec) -> Iterator[Polynomial]:
         yield suspend(f, spec.suspension_power) if lift else f
 
 
+def _corpus_size(spec: SweepSpec) -> int:
+    """The number of germs ``_germs(spec)`` yields, without building one."""
+    if spec.family == "fermat":
+        return spec.d_max - spec.d_min + 1
+    if spec.family == "quasihomogeneous_2var":
+        return (spec.a_max - spec.a_min + 1) * (spec.b_max - spec.b_min + 1)
+    return spec.count
+
+
 def generate_corpus(spec: SweepSpec) -> list[Polynomial]:
     """The deterministic germ list of a sweep specification."""
     return list(_germs(spec))
@@ -171,8 +181,8 @@ class ReportRow:
 
     ``isolated`` is None when the row was never decided: it missed its
     deadline (note ``timeout``) or its work ceiling (note ``budget
-    exceeded``).  Slotted: a sweep keeps every row, with no per-row
-    ``__dict__``.
+    exceeded``).  Slotted and frozen, with no per-row ``__dict__``; a
+    sweep keeps its rows by column and builds each row when it is read.
     """
 
     index: int
@@ -238,24 +248,145 @@ def evaluate_row(index: int, f: Polynomial, seconds: float | None) -> ReportRow:
 
     A germ past the deadline becomes a ``timeout`` row, one past the
     portfolio's work ceiling a ``budget exceeded`` row with its measured
-    time.
+    time.  With no deadline the germ is evaluated without entering
+    :func:`deadline`.
     """
     start = time.perf_counter()
     try:
+        if not seconds:
+            return evaluate_germ(index, f)
         with deadline(seconds):
             return evaluate_germ(index, f)
     except TimeoutError:
-        note, elapsed = "timeout", seconds
+        note, elapsed = "timeout", float(seconds)
     except ComputationBudgetExceeded:
         note, elapsed = "budget exceeded", time.perf_counter() - start
     return ReportRow(index, str(f), len(f.vars) - 1, None, None, None,
                      None, None, elapsed, note=note)
 
 
+def _evaluate_chunk(start: int, germs: list[Polynomial],
+                    seconds: float | None) -> list[ReportRow]:
+    """Rows ``start, start+1, ...`` of ``germs``: one task of the worker pool."""
+    return [evaluate_row(i, f, seconds) for i, f in enumerate(germs, start)]
+
+
+#: Stored in the ``mu`` or ``tau`` column for None, so that value itself cannot be.
+_MISSING = -1 << 63
+_ISOLATED = {None: 0, False: 1, True: 2}
+
+
+def _optional(value: int | None) -> int:
+    if value is None:
+        return _MISSING
+    if value == _MISSING:
+        raise OverflowError(f"{value} is the stored form of None")
+    return value
+
+
+def _by_value(value) -> tuple:
+    """The key that shares a copied object with its equal: a report by its verdicts."""
+    if isinstance(value, BoundReport):
+        return BoundReport, tuple(value.verdicts.items())
+    return type(value), value
+
+
+class _RowTable(Sequence):
+    """A sweep's rows, stored by column; ``table[i]`` builds its ``ReportRow``.
+
+    The germ texts share one UTF-8 buffer, cut by an array of end
+    offsets; ``n``, ``mu``, ``tau`` (None as ``_MISSING``), ``isolated``
+    and ``wall_time_s`` sit in typed arrays.  ``ratio``, ``report``,
+    ``weights`` and ``note`` fill four slots per row of an array of
+    indices into one list of the distinct objects the rows share,
+    matched by ``share_by``: ``id`` for rows made in this process, whose
+    objects the list keeps alive, :func:`_by_value` for rows that
+    crossed the worker pipe as copies.  A held row takes about 110
+    bytes, against about 250 as a ``ReportRow``.  Rows arrive in corpus
+    order, so a row's index is its position.  A value that no column
+    can hold raises, and the row is not stored; none is stored altered.
+    """
+
+    __slots__ = ("_text", "_ends", "_n", "_mu", "_tau", "_isolated", "_wall", "_refs",
+                 "_shared", "_at", "_key")
+
+    def __init__(self, share_by=id):
+        self._text = bytearray()
+        self._ends = array("I")
+        self._n = array("i")
+        self._mu, self._tau = array("q"), array("q")
+        self._isolated = array("B")
+        self._wall = array("d")
+        self._refs = array("I")  # ratio, report, weights, note
+        self._shared: list = []
+        self._at: dict = {}
+        self._key = share_by
+
+    def append(self, row: ReportRow) -> None:
+        size = len(self._ends)
+        if row.index != size:
+            raise ValueError(f"row {row.index} arrived at position {size}")
+        if type(row.wall_time_s) is not float:
+            raise TypeError(f"wall time {row.wall_time_s!r} is not a float")
+        text = row.germ.encode()
+        try:
+            self._ends.append(len(self._text) + len(text))
+            self._text += text
+            self._n.append(row.n)
+            self._mu.append(_optional(row.mu))
+            self._tau.append(_optional(row.tau))
+            self._isolated.append(_ISOLATED[row.isolated])
+            self._wall.append(row.wall_time_s)
+            at, key, refs = self._at, self._key, self._refs
+            for value in (row.ratio, row.report, row.weights, row.note):
+                k = at.get(key(value))
+                if k is None:
+                    k = at[key(value)] = len(self._shared)
+                    self._shared.append(value)
+                refs.append(k)
+        except BaseException:
+            self._truncate(size)
+            raise
+
+    def _truncate(self, size: int) -> None:
+        """Drop every row from position ``size`` on."""
+        del self._text[self._ends[size - 1] if size else 0:]
+        for column in (self._ends, self._n, self._mu, self._tau, self._isolated, self._wall):
+            del column[size:]
+        del self._refs[4 * size:]
+
+    def extend(self, rows: Iterable[ReportRow]) -> None:
+        for row in rows:
+            self.append(row)
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __getitem__(self, i: int) -> ReportRow:
+        if i < 0:
+            i += len(self._ends)
+        if not 0 <= i < len(self._ends):
+            raise IndexError("row index out of range")
+        germ = self._text[self._ends[i - 1] if i else 0:self._ends[i]].decode()
+        mu, tau = self._mu[i], self._tau[i]
+        ratio, report, weights, note = map(self._shared.__getitem__, self._refs[4 * i:4 * i + 4])
+        return ReportRow(i, germ, self._n[i], None if mu == _MISSING else mu,
+                         None if tau == _MISSING else tau, (None, False, True)[self._isolated[i]],
+                         ratio, report, self._wall[i], note, weights)
+
+    def __iter__(self) -> Iterator[ReportRow]:
+        return map(self.__getitem__, range(len(self._ends)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _RowTable)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class SweepResult:
     spec: SweepSpec
-    rows: tuple[ReportRow, ...]
+    rows: Sequence[ReportRow]
     min_ratio: Fraction | None
     max_ratio: Fraction | None
     min_43_margin: Fraction | None
@@ -266,50 +397,91 @@ def sweep(spec: SweepSpec, threads: int = 1, timeout: float | None = None) -> Sw
     """Evaluate a whole corpus; deterministic under a fixed seed.
 
     ``threads`` caps the number of worker processes, which take rows in
-    batches; rows keep corpus order regardless.
+    chunks through a window of ``2 * threads`` chunks in flight; rows
+    keep corpus order regardless.
     ``timeout`` is a per-row deadline in seconds, enforced in whichever
     process evaluates the row; a row that misses it is reported with
     the note ``timeout``.
     """
     if threads < 1:
         raise ValueError("thread count must be positive")
-    # Executor.map submits every chunk at once, so the pool takes a list.
-    germs = generate_corpus(spec) if threads > 1 else _germs(spec)
-    if threads > 1 and len(germs) > 1:
-        # Imported here: the pool brings in multiprocessing, pickle and
-        # logging, which no serial caller should pay for.
-        from concurrent.futures import ProcessPoolExecutor
-        # The workers fork no Tjurina lanes: their siblings use the other CPUs.
-        with ProcessPoolExecutor(max_workers=threads, initializer=_no_lanes) as pool:
-            rows = tuple(pool.map(evaluate_row, range(len(germs)), germs, repeat(timeout),
-                                  chunksize=max(1, len(germs) // (32 * threads))))
-    else:
-        # Serially, each germ is built after the row before it.
-        rows = tuple(evaluate_row(i, f, timeout) for i, f in enumerate(germs))
+    germs = _germs(spec)
+    if threads > 1:
+        head = list(islice(germs, 2))  # a one-germ corpus starts no pool
+        germs = chain(head, germs)
+        if len(head) > 1:
+            return summarize(spec, _pooled_rows(germs, _corpus_size(spec), threads, timeout))
+    # Serially, each germ is built after the row before it.
+    rows = _RowTable()
+    for i, f in enumerate(germs):
+        rows.append(evaluate_row(i, f, timeout))
     return summarize(spec, rows)
 
 
-def summarize(spec: SweepSpec, rows) -> SweepResult:
-    """Sweep summary of evaluated rows: ratio range, 4/3 margin, violations.
+#: Largest chunk of germs a worker takes: with at most ``2 * threads``
+#: chunks in flight, the parent holds a bounded number of germs and
+#: returned rows whatever the corpus size.  A 20,000-germ sweep in two
+#: workers peaks at about 22.5 MB RSS in chunks of 128, against about
+#: 23.5 MB in chunks of 312, at about the same speed.
+_CHUNK = 128
+
+
+def _pooled_rows(germs: Iterator[Polynomial], count: int, threads: int,
+                 timeout: float | None) -> _RowTable:
+    """The rows of ``count`` germs, evaluated in ``threads`` worker processes.
+
+    Chunks of about ``count / (32 * threads)`` germs, at most ``_CHUNK``,
+    are built and submitted in corpus order, at most ``2 * threads`` in
+    flight; each chunk's rows are stored as it returns.
+    """
+    rows = _RowTable(share_by=_by_value)
+    size = min(_CHUNK, max(1, count // (32 * threads)))
+    chunks = iter(lambda: list(islice(germs, size)), [])
+    # Imported here: the pool brings in multiprocessing, pickle and
+    # logging, which no serial caller should pay for.
+    from concurrent.futures import ProcessPoolExecutor
+    # The workers fork no Tjurina lanes: their siblings use the other CPUs.
+    with ProcessPoolExecutor(max_workers=threads, initializer=_no_lanes) as pool:
+        window, start = deque(), 0
+        for chunk in chunks:
+            window.append(pool.submit(_evaluate_chunk, start, chunk, timeout))
+            start += len(chunk)
+            if len(window) == 2 * threads:
+                rows.extend(window.popleft().result())
+        while window:
+            rows.extend(window.popleft().result())
+    return rows
+
+
+def summarize(spec: SweepSpec, rows: _RowTable) -> SweepResult:
+    """Sweep summary of a row table: ratio range, 4/3 margin, violations.
 
     A row is a violation when its note reports one or when a catalog
-    bound fails on it.
+    bound fails on it.  Ratios, margins and failing bounds are read once
+    per distinct shared object, not once per row.
     """
-    ratios = [r.ratio for r in rows if r.ratio is not None]
-    margins = [r.report.verdicts["dimca_greuel_4_3"].margin
-               for r in rows if r.report is not None and r.n == 1]
+    shared, refs = rows._shared, rows._refs
+    ratio, report, note = refs[0::4], refs[1::4], refs[3::4]
+    ratios = [shared[k] for k in set(ratio) if shared[k] is not None]
+    curves = set(compress(report, map((1).__eq__, rows._n)))  # rows with n == 1
+    margins = [shared[k].verdicts["dimca_greuel_4_3"].margin
+               for k in curves if shared[k] is not None]
+    noted = {k for k in set(note) if shared[k] and "violated" in shared[k]}
+    failing = {}
+    for k in set(report):
+        if shared[k] is not None:
+            keys = [key for key in BOUND_IDS if shared[k].verdicts[key].holds is False]
+            if keys:
+                failing[k] = keys
     violations = []
-    for r in rows:
-        if r.note and "violated" in r.note:
-            violations.append(f"row {r.index}: {r.note}")
-        if r.report is None:
-            continue
-        for key in BOUND_IDS:
-            if r.report.verdicts[key].holds is False:
-                violations.append(f"row {r.index}: {key}")
+    if noted or failing:
+        for i, (k, r) in enumerate(zip(note, report)):
+            if k in noted:
+                violations.append(f"row {i}: {shared[k]}")
+            violations += (f"row {i}: {key}" for key in failing.get(r, ()))
     return SweepResult(
         spec=spec,
-        rows=tuple(rows),
+        rows=rows,
         min_ratio=min(ratios) if ratios else None,
         max_ratio=max(ratios) if ratios else None,
         min_43_margin=min(margins) if margins else None,

@@ -1,6 +1,9 @@
 """Sweep families, determinism, report rows."""
 
+import concurrent.futures
 import copy
+import dataclasses
+import gc
 import hashlib
 import os
 import pickle
@@ -12,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import germ.corpus
-from germ import SweepSpec, generate_corpus, selftest, sweep
-from germ.corpus import evaluate_row
+from germ import SweepSpec, bound_report, generate_corpus, selftest, sweep
+from germ.corpus import ReportRow, evaluate_row
+from germ.errors import ComputationBudgetExceeded
 from germ.poly import parse_polynomial
 
 #: sha256 of the newline-joined printed germs, per (family, seed) at the
@@ -189,6 +193,157 @@ def test_parallel_sweep_matches_serial():
         # a report that crossed the worker pipe is still read-only
         with pytest.raises(TypeError):
             parallel.rows[0].report.verdicts["liu"] = None
+
+
+def _rigged_evaluate_germ(monkeypatch):
+    """Rows 1-4 of a fermat sweep become non-isolated, timeout, budget
+    exceeded and a fake with a report but no ratio; the rest are real."""
+    evaluate = germ.corpus.evaluate_germ
+
+    def rigged(index, f):
+        if index == 1:
+            return evaluate(index, parse_polynomial("x^2", f.vars))
+        if index == 2:
+            raise TimeoutError
+        if index == 3:
+            raise ComputationBudgetExceeded("rigged")
+        if index == 4:
+            return ReportRow(index, str(f), 1, 4, 2, True, None, bound_report(4, 2, 1), 0.25,
+                             note="saito direction violated")
+        return evaluate(index, f)
+
+    monkeypatch.setattr(germ.corpus, "evaluate_germ", rigged)
+
+
+def test_sweep_rows_read_back_exactly(monkeypatch):
+    # Rows are stored by column and built again on each read; every
+    # field of every kind of row must come back as evaluate_row made it.
+    _rigged_evaluate_germ(monkeypatch)
+    made = []
+    evaluate = germ.corpus.evaluate_row
+
+    def spy(index, f, seconds):
+        made.append(evaluate(index, f, seconds))
+        return made[-1]
+
+    monkeypatch.setattr(germ.corpus, "evaluate_row", spy)
+    result = sweep(SweepSpec(family="fermat", d_min=2, d_max=7), timeout=60)
+    rows = result.rows
+    assert [(r.isolated, r.note) for r in made[:5]] == [
+        (True, ""), (False, "non-isolated; excluded from summary"), (None, "timeout"),
+        (None, "budget exceeded"), (True, "saito direction violated")]
+    assert made[4].ratio is None and made[4].report is not None
+    assert len(rows) == len(made) == 6
+    for got, want in zip(rows, made):
+        for field in dataclasses.fields(ReportRow):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert (type(a), a) == (type(b), b), field.name
+        assert got.report is want.report and got.ratio is want.ratio
+    assert rows == tuple(made) and rows[-1] == made[-1] and rows[-6] == made[0]
+    for i in (6, -7):
+        with pytest.raises(IndexError):
+            rows[i]
+    with pytest.raises(TypeError):
+        rows[4].report.verdicts["liu"] = None
+    assert result.violations == ("row 4: saito direction violated",
+                                 "row 4: dimca_greuel_4_3", "row 4: space_branch_quarter")
+
+
+def test_pooled_rows_read_back_like_serial_rows(monkeypatch):
+    _rigged_evaluate_germ(monkeypatch)
+    spec = SweepSpec(family="fermat", d_min=2, d_max=7)
+    serial, pooled = sweep(spec, timeout=60), sweep(spec, threads=2, timeout=60)
+    untimed = lambda row: dataclasses.replace(row, wall_time_s=0.0)
+    assert list(map(untimed, pooled.rows)) == list(map(untimed, serial.rows))
+    assert pooled.rows[2].wall_time_s == 60.0
+    assert dataclasses.replace(pooled, rows=()) == dataclasses.replace(serial, rows=())
+
+
+def test_row_table_refuses_what_a_column_cannot_hold():
+    table = germ.corpus._RowTable()
+    good = ReportRow(0, "x^2+y^3", 1, 2, 2, True, None, None, 0.5)
+    for bad in (dataclasses.replace(good, index=1), dataclasses.replace(good, n=2.5),
+                dataclasses.replace(good, mu=1 << 63), dataclasses.replace(good, tau=-1 << 63),
+                dataclasses.replace(good, isolated="yes"), dataclasses.replace(good, wall_time_s=1),
+                dataclasses.replace(good, germ="\ud800")):
+        with pytest.raises((ValueError, TypeError, OverflowError, KeyError)):
+            table.append(bad)
+        assert len(table) == 0  # nothing of the refused row is kept
+    table.append(good)
+    table.append(dataclasses.replace(good, index=1, germ="x^3+y^2", mu=None, tau=1 << 62))
+    with pytest.raises(OverflowError):
+        table.append(dataclasses.replace(good, index=2, tau=1 << 64))
+    assert tuple(table) == (good, dataclasses.replace(good, index=1, germ="x^3+y^2", mu=None,
+                                                      tau=1 << 62))
+
+
+def test_held_sweep_rows_stay_small():
+    # Rows are held by column: about 110 bytes a row, against about 250
+    # as slotted ReportRow objects.  The first sweep fills the caches.
+    spec = SweepSpec(family="suspension", seed=1, count=2000)
+    sweep(spec)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = sweep(spec)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.rows) == 2000
+    assert kept / 2000 < 128
+
+
+def test_pool_streams_through_a_bounded_window(monkeypatch):
+    # The pool gets at most 2 * threads chunks at a time, submitted in
+    # corpus order, and never the whole corpus.
+    class Pool:
+        outstanding = peak = 0
+        starts = []
+
+        def __init__(self, max_workers, initializer):
+            self.window = 2 * max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, start, chunk, seconds):
+            Pool.starts.append((start, len(chunk)))
+            Pool.outstanding += 1
+            Pool.peak = max(Pool.peak, Pool.outstanding)
+            future = concurrent.futures.Future()
+            future.set_result(fn(start, chunk, seconds))
+            return Future(future)
+
+    class Future:
+        def __init__(self, future):
+            self.future = future
+
+        def result(self):
+            Pool.outstanding -= 1
+            return self.future.result()
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    spec = SweepSpec(family="deformed_quasihomogeneous", seed=5, count=200)
+    pooled = sweep(spec, threads=2)
+    assert (Pool.peak, Pool.outstanding) == (4, 0)
+    assert len(Pool.starts) == 67  # chunks of 200 // 64 = 3 germs
+    assert [start for start, _ in Pool.starts] == [3 * k for k in range(67)]
+    untimed = lambda row: dataclasses.replace(row, wall_time_s=0.0)
+    assert list(map(untimed, pooled.rows)) == list(map(untimed, sweep(spec).rows))
+
+
+@pytest.mark.parametrize("spec", [
+    SweepSpec("fermat", d_min=3, d_max=9),
+    SweepSpec("quasihomogeneous_2var", a_min=2, a_max=5, b_min=3, b_max=9),
+    SweepSpec("suspension", count=7),
+], ids=lambda spec: spec.family)
+def test_corpus_size_counts_the_corpus(spec):
+    assert germ.corpus._corpus_size(spec) == len(generate_corpus(spec))
 
 
 def test_import_loads_no_worker_pool():
