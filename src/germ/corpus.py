@@ -97,17 +97,14 @@ class _Cells(Sequence):
     it draws the same cells as from the list.
     """
 
-    __slots__ = ("_a", "_b", "_starts", "_len")
+    __slots__ = ("_starts", "_shift", "_len")
 
     def __init__(self, a: int, b: int):
-        self._a, self._b = a, b
-        self._starts = array("q", accumulate((b + 3 - self._first(i) for i in range(a + 3)),
-                                             initial=0))
+        firsts = [max(0, (a * b - i * b) // a + 1) for i in range(a + 3)]
+        self._starts = array("q", accumulate((b + 3 - j for j in firsts), initial=0))
         self._len = self._starts.pop()
-
-    def _first(self, i: int) -> int:
-        a, b = self._a, self._b
-        return max(0, (a * b - i * b) // a + 1)
+        # Cell k, in row i, is (i, k + shift[i]).
+        self._shift = array("q", (j - start for j, start in zip(firsts, self._starts)))
 
     def __len__(self) -> int:
         return self._len
@@ -116,7 +113,7 @@ class _Cells(Sequence):
         if not 0 <= k < self._len:  # iteration stops at the IndexError
             raise IndexError("cell index out of range")
         i = bisect_right(self._starts, k) - 1
-        return i, self._first(i) + k - self._starts[i]
+        return i, k + self._shift[i]
 
 
 def _deformations(a: int, b: int, rng: random.Random,
@@ -213,7 +210,7 @@ def evaluate_germ(index: int, f: Polynomial) -> ReportRow:
     if weights is not None and inv.mu != inv.tau:
         note = "saito direction violated"  # impossible unless the engine is broken
     return ReportRow(index, str(f), inv.germ_dimension, inv.mu, inv.tau, True,
-                     inv.ratio, report, elapsed, note=note, weights=weights)
+                     inv.ratio, report, elapsed, note, weights)
 
 
 @contextmanager
@@ -221,12 +218,10 @@ def deadline(seconds: float | None):
     """Abort the enclosed computation with TimeoutError after ``seconds``.
 
     Uses the alarm signal, so it works in the main thread of any
-    process, sweep workers included; ``None`` or 0 sets no deadline.
-    A value the timer cannot take raises ValueError.
+    process, sweep workers included.  A value the timer cannot take
+    raises ValueError; :func:`evaluate_row` sets no deadline for ``None``
+    or 0 and does not enter this one.
     """
-    if not seconds:
-        yield
-        return
 
     def handler(signum, frame):
         raise TimeoutError(f"computation exceeded {seconds} seconds")
@@ -274,6 +269,8 @@ def _evaluate_chunk(start: int, germs: list[Polynomial],
 #: Stored in the ``mu`` or ``tau`` column for None, so that value itself cannot be.
 _MISSING = -1 << 63
 _ISOLATED = {None: 0, False: 1, True: 2}
+#: The row fields a table keeps as indices into its list of shared objects.
+_SHARED = ("ratio", "report", "weights", "note")
 
 
 def _optional(value: int | None) -> int:
@@ -296,15 +293,17 @@ class _RowTable(Sequence):
 
     The germ texts share one UTF-8 buffer, cut by an array of end
     offsets; ``n``, ``mu``, ``tau`` (None as ``_MISSING``), ``isolated``
-    and ``wall_time_s`` sit in typed arrays.  ``ratio``, ``report``,
-    ``weights`` and ``note`` fill four slots per row of an array of
-    indices into one list of the distinct objects the rows share,
-    matched by ``share_by``: ``id`` for rows made in this process, whose
-    objects the list keeps alive, :func:`_by_value` for rows that
-    crossed the worker pipe as copies.  A held row takes about 110
-    bytes, against about 250 as a ``ReportRow``.  Rows arrive in corpus
-    order, so a row's index is its position.  A value that no column
-    can hold raises, and the row is not stored; none is stored altered.
+    and ``wall_time_s`` sit in typed arrays.  The ``_SHARED`` fields
+    fill one slot each per row of an array of indices into one list of
+    the distinct objects the rows share, matched by ``share_by``: ``id``
+    for rows made in this process, whose objects the list keeps alive,
+    :func:`_by_value` for rows that crossed the worker pipe as copies.
+    (Matching serial rows by value as well would hash every report's
+    verdicts: about 8 us a row, against about 200 us to evaluate a
+    small germ.)  A held row takes about 110 bytes, against about 250
+    as a ``ReportRow``.  Rows arrive in corpus order, so a row's index
+    is its position.  A value that no column can hold raises, and the
+    row is not stored; none is stored altered.
     """
 
     __slots__ = ("_text", "_ends", "_n", "_mu", "_tau", "_isolated", "_wall", "_refs",
@@ -317,7 +316,7 @@ class _RowTable(Sequence):
         self._mu, self._tau = array("q"), array("q")
         self._isolated = array("B")
         self._wall = array("d")
-        self._refs = array("I")  # ratio, report, weights, note
+        self._refs = array("I")  # ratio, report, weights, note: the _SHARED order
         self._shared: list = []
         self._at: dict = {}
         self._key = share_by
@@ -359,14 +358,16 @@ class _RowTable(Sequence):
         for row in rows:
             self.append(row)
 
+    def shared(self, field: str) -> tuple[dict, array]:
+        """A ``_SHARED`` field as the objects its rows hold, each once and
+        keyed by an index, and each row's index."""
+        at = self._refs[_SHARED.index(field)::4]
+        return {k: self._shared[k] for k in set(at)}, at
+
     def __len__(self) -> int:
         return len(self._ends)
 
-    def __getitem__(self, i: int) -> ReportRow:
-        if i < 0:
-            i += len(self._ends)
-        if not 0 <= i < len(self._ends):
-            raise IndexError("row index out of range")
+    def _row(self, i: int) -> ReportRow:
         germ = self._text[self._ends[i - 1] if i else 0:self._ends[i]].decode()
         mu, tau = self._mu[i], self._tau[i]
         ratio, report, weights, note = map(self._shared.__getitem__, self._refs[4 * i:4 * i + 4])
@@ -374,8 +375,18 @@ class _RowTable(Sequence):
                          None if tau == _MISSING else tau, (None, False, True)[self._isolated[i]],
                          ratio, report, self._wall[i], note, weights)
 
+    def __getitem__(self, i):
+        size = len(self._ends)
+        if isinstance(i, slice):
+            return tuple(map(self._row, range(*i.indices(size))))
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("row index out of range")
+        return self._row(i)
+
     def __iter__(self) -> Iterator[ReportRow]:
-        return map(self.__getitem__, range(len(self._ends)))
+        return map(self._row, range(len(self._ends)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, _RowTable)):
@@ -458,26 +469,27 @@ def summarize(spec: SweepSpec, rows: _RowTable) -> SweepResult:
 
     A row is a violation when its note reports one or when a catalog
     bound fails on it.  Ratios, margins and failing bounds are read once
-    per distinct shared object, not once per row.
+    per distinct object of the table, not once per row; the 4/3 margin
+    is taken over the reports where that bound applies, which are those
+    of the curve rows.
     """
-    shared, refs = rows._shared, rows._refs
-    ratio, report, note = refs[0::4], refs[1::4], refs[3::4]
-    ratios = [shared[k] for k in set(ratio) if shared[k] is not None]
-    curves = set(compress(report, map((1).__eq__, rows._n)))  # rows with n == 1
-    margins = [shared[k].verdicts["dimca_greuel_4_3"].margin
-               for k in curves if shared[k] is not None]
-    noted = {k for k in set(note) if shared[k] and "violated" in shared[k]}
+    ratios, _ = rows.shared("ratio")
+    reports, report_at = rows.shared("report")
+    notes, note_at = rows.shared("note")
+    ratios = [r for r in ratios.values() if r is not None]
+    verdicts = [r.verdicts["dimca_greuel_4_3"] for r in reports.values() if r is not None]
+    margins = [v.margin for v in verdicts if v.applicable]
+    noted = {k for k, note in notes.items() if note and "violated" in note}
     failing = {}
-    for k in set(report):
-        if shared[k] is not None:
-            keys = [key for key in BOUND_IDS if shared[k].verdicts[key].holds is False]
-            if keys:
-                failing[k] = keys
+    for k, r in reports.items():
+        keys = [key for key in BOUND_IDS if r is not None and r.verdicts[key].holds is False]
+        if keys:
+            failing[k] = keys
     violations = []
     if noted or failing:
-        for i, (k, r) in enumerate(zip(note, report)):
+        for i, (k, r) in enumerate(zip(note_at, report_at)):
             if k in noted:
-                violations.append(f"row {i}: {shared[k]}")
+                violations.append(f"row {i}: {notes[k]}")
             violations += (f"row {i}: {key}" for key in failing.get(r, ()))
     return SweepResult(
         spec=spec,

@@ -10,6 +10,8 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -240,6 +242,8 @@ def test_sweep_rows_read_back_exactly(monkeypatch):
             assert (type(a), a) == (type(b), b), field.name
         assert got.report is want.report and got.ratio is want.ratio
     assert rows == tuple(made) and rows[-1] == made[-1] and rows[-6] == made[0]
+    assert rows[:10] == rows[::1] == tuple(made) and rows[-2::-2] == tuple(made[-2::-2])
+    assert rows[7:] == ()
     for i in (6, -7):
         with pytest.raises(IndexError):
             rows[i]
@@ -275,6 +279,21 @@ def test_row_table_refuses_what_a_column_cannot_hold():
         table.append(dataclasses.replace(good, index=2, tau=1 << 64))
     assert tuple(table) == (good, dataclasses.replace(good, index=1, germ="x^3+y^2", mu=None,
                                                       tau=1 << 62))
+
+
+def test_refused_row_leaves_no_shared_object():
+    # A row refused after its ratio entered the shared list leaves that
+    # ratio out of the table's fields, so no summary reads it.
+    table = germ.corpus._RowTable(share_by=germ.corpus._by_value)
+    good = ReportRow(0, "x^2+y^3", 1, 2, 2, True, Fraction(1), None, 0.5)
+    table.append(good)
+    with pytest.raises(TypeError):  # a list has no value key
+        table.append(dataclasses.replace(good, index=1, ratio=Fraction(7, 3), weights=[1]))
+    assert len(table) == 1 and table.shared("ratio") == ({0: Fraction(1)}, array("I", [0]))
+    table.append(dataclasses.replace(good, index=1, ratio=Fraction(7, 3)))
+    ratios, at = table.shared("ratio")
+    assert sorted(ratios.values()) == [Fraction(1), Fraction(7, 3)] and at[0] != at[1]
+    assert germ.corpus.summarize(SweepSpec("fermat"), table).max_ratio == Fraction(7, 3)
 
 
 def test_held_sweep_rows_stay_small():
