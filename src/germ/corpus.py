@@ -214,7 +214,7 @@ def evaluate_germ(index: int, f: Polynomial) -> ReportRow:
 
 
 @contextmanager
-def deadline(seconds: float | None):
+def deadline(seconds: float):
     """Abort the enclosed computation with TimeoutError after ``seconds``.
 
     Uses the alarm signal, so it works in the main thread of any
@@ -273,14 +273,6 @@ _ISOLATED = {None: 0, False: 1, True: 2}
 _SHARED = ("ratio", "report", "weights", "note")
 
 
-def _optional(value: int | None) -> int:
-    if value is None:
-        return _MISSING
-    if value == _MISSING:
-        raise OverflowError(f"{value} is the stored form of None")
-    return value
-
-
 def _by_value(value) -> tuple:
     """The key that shares a copied object with its equal: a report by its verdicts."""
     if isinstance(value, BoundReport):
@@ -327,13 +319,16 @@ class _RowTable(Sequence):
             raise ValueError(f"row {row.index} arrived at position {size}")
         if type(row.wall_time_s) is not float:
             raise TypeError(f"wall time {row.wall_time_s!r} is not a float")
+        mu, tau = row.mu, row.tau
+        if _MISSING in (mu, tau):
+            raise OverflowError(f"{_MISSING} is the stored form of None")
         text = row.germ.encode()
         try:
             self._ends.append(len(self._text) + len(text))
             self._text += text
             self._n.append(row.n)
-            self._mu.append(_optional(row.mu))
-            self._tau.append(_optional(row.tau))
+            self._mu.append(_MISSING if mu is None else mu)
+            self._tau.append(_MISSING if tau is None else tau)
             self._isolated.append(_ISOLATED[row.isolated])
             self._wall.append(row.wall_time_s)
             at, key, refs = self._at, self._key, self._refs
