@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 computation error, timeout or exceeded work
-ceiling, 2 usage error (a malformed or out-of-range argument),
+Exit codes: 0 success, 1 computation error or exceeded work budget,
+2 usage error (a malformed or out-of-range argument),
 3 when an ``--expect`` assertion fails.  Machine output is selected
 with ``--json`` or (for sweeps and invariants) ``--csv``, not both;
 JSON carries a ``generated_at`` timestamp unless ``--reproducible`` is
@@ -28,7 +28,7 @@ from .bounds import BOUND_IDS, BoundReport, bound_report, kerner_nemethi_constan
     superisolated_invariants, wahl_tau_min
 from .corpus import FAMILIES, ReportRow, SweepSpec, evaluate_row, sweep
 from .errors import GermError
-from .invariants import suspend
+from .invariants import _CEILING, _UNITS_PER_SECOND, suspend
 from .poly import parse_polynomial
 from .semigroup import certify_plane_branch, semigroup_from_generators
 
@@ -130,21 +130,15 @@ def _check_expect(expected: dict[str, int], computed: dict[str, int | None]) -> 
 # Subcommands
 
 
-def _undecided(rows, seconds) -> bool:
-    """Whether a row was left undecided; if one was, say why on stderr."""
-    notes = {r.note for r in rows if r.isolated is None}
-    if "timeout" in notes:
-        print(f"timeout: a germ exceeded the {seconds} s deadline; partial report emitted",
+def _undecided(count: int) -> bool:
+    """Whether ``count`` germs were left undecided; if any was, say why on stderr."""
+    if count:
+        print("budget exceeded: a germ exceeded its work budget; partial report emitted",
               file=sys.stderr)
-    if "budget exceeded" in notes:
-        print("budget exceeded: a germ exceeded the work ceiling; partial report emitted",
-              file=sys.stderr)
-    return bool(notes)
+    return bool(count)
 
 
 def _mu_tau_text(row: ReportRow, sep: str = " ") -> str:
-    if row.note == "timeout":
-        return f"timeout after {row.wall_time_s}s"
     if row.isolated is None:
         return f"undecided ({row.note})"
     if not row.isolated:
@@ -161,7 +155,7 @@ def _cmd_invariants(args) -> int:
         "vars": list(f.vars),
         "weights": list(row.weights[0]) if row.weights else None,
         "weighted_degree": row.weights[1] if row.weights else None,
-        "timeout": row.note == "timeout",
+        "timeout": row.isolated is None,
     }
     lines = [f"germ: {row.germ}"]
     if row.isolated is None:
@@ -178,7 +172,7 @@ def _cmd_invariants(args) -> int:
         if row.report is not None:
             lines += ["bounds:", *_bounds_lines(row.report)]
     _emit(args, payload, lines, [data])
-    if _undecided([row], args.timeout):
+    if _undecided(row.isolated is None):
         return EXIT_COMPUTE
     if args.expect:
         return _check_expect(args.expect, {"mu": row.mu, "tau": row.tau})
@@ -203,7 +197,7 @@ def _cmd_suspend(args) -> int:
         f"base: {_mu_tau_text(base)}",
         f"suspension: {_mu_tau_text(top)}",
     ])
-    return EXIT_COMPUTE if _undecided([base, top], args.timeout) else EXIT_OK
+    return EXIT_COMPUTE if _undecided(sum(r.isolated is None for r in (base, top))) else EXIT_OK
 
 
 def _cmd_semigroup(args) -> int:
@@ -300,17 +294,14 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(**{f.name: getattr(args, f.name) for f in fields(SweepSpec)})
     result = sweep(spec, threads=args.threads, timeout=args.timeout)
     # One walk over the rows: each is built from the sweep's table when read.
-    lines, rows, undecided = [], [], []
-    isolated, notes = Counter(), Counter()
+    lines, rows = [], []
+    isolated = Counter()
     for r in result.rows:
         ratio = f"{r.ratio} ~ {float(r.ratio):.4f}" if r.ratio is not None else "-"
         note = f"  [{r.note}]" if r.note else ""
         lines.append(f"[{r.index:3d}] {r.germ}: {_mu_tau_text(r)} mu/tau={ratio}{note}")
         rows.append(_row_json(r, args.reproducible))
         isolated[r.isolated] += 1
-        notes[r.note] += 1
-        if r.isolated is None:
-            undecided.append(r)
     summary = {
         "germs": len(rows),
         "isolated": isolated[True],
@@ -320,14 +311,13 @@ def _cmd_sweep(args) -> int:
         "violations": list(result.violations),
     }
     lines.append(f"summary: {summary['germs']} germs, {summary['isolated']} isolated, "
-                 f"{isolated[False]} non-isolated, {notes['timeout']} timed out, "
-                 f"{notes['budget exceeded']} over budget, "
+                 f"{isolated[False]} non-isolated, {isolated[None]} over budget, "
                  f"min ratio {result.min_ratio}, max ratio {result.max_ratio}, "
                  f"min 4/3 margin {result.min_43_margin}, "
                  f"{len(result.violations)} bound violations")
     _emit(args, {"family": spec.family, "seed": spec.seed, "rows": rows, "summary": summary},
           lines, rows)
-    if _undecided(undecided, args.timeout) or result.violations:
+    if _undecided(isolated[None]) or result.violations:
         return EXIT_COMPUTE
     return EXIT_OK
 
@@ -392,8 +382,9 @@ def _add_common(sub, csv_flag=False, timeout_flag=False):
                      help="suppress the timestamp and timing fields")
     if timeout_flag:
         sub.add_argument("--timeout", type=_seconds, default=None, metavar="SECONDS",
-                         help="deadline per germ in seconds, a finite number >= 0 "
-                              "(0: none); a germ past it gets a partial report")
+                         help=f"work budget per germ in seconds at {_UNITS_PER_SECOND:,} "
+                              f"work units a second, a finite number >= 0 (0: the default "
+                              f"{_CEILING:,} units); a germ past it gets a partial report")
 
 
 def build_parser() -> argparse.ArgumentParser:

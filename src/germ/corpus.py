@@ -16,20 +16,19 @@ memory grows by about 110 bytes per row.
 from __future__ import annotations
 
 import random
-import signal
 import time
 from array import array
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice
 
 from .bounds import BOUND_IDS, BoundReport, bound_report
 from .errors import ComputationBudgetExceeded
-from .invariants import WeightVector, _no_lanes, germ_invariants, suspend
+from .invariants import (_CEILING, _UNITS_PER_SECOND, WeightVector, _no_lanes, germ_invariants,
+                         suspend)
 from .poly import _ONE, Polynomial, parse_polynomial
 
 FAMILIES = ("fermat", "suspension", "quasihomogeneous_2var", "deformed_quasihomogeneous")
@@ -176,10 +175,10 @@ def generate_corpus(spec: SweepSpec) -> list[Polynomial]:
 class ReportRow:
     """One evaluated germ: invariants, verdicts, weights and timing.
 
-    ``isolated`` is None when the row was never decided: it missed its
-    deadline (note ``timeout``) or its work ceiling (note ``budget
-    exceeded``).  Slotted and frozen, with no per-row ``__dict__``; a
-    sweep keeps its rows by column and builds each row when it is read.
+    ``isolated`` is None when the row was never decided: the germ ran
+    out of its work budget (note ``budget exceeded``).  Slotted and
+    frozen, with no per-row ``__dict__``; a sweep keeps its rows by
+    column and builds each row when it is read.
     """
 
     index: int
@@ -195,10 +194,12 @@ class ReportRow:
     weights: WeightVector | None = None
 
 
-def evaluate_germ(index: int, f: Polynomial) -> ReportRow:
-    """Compute one report row; pure apart from the timing field."""
+def evaluate_germ(index: int, f: Polynomial, budget: int = _CEILING) -> ReportRow:
+    """Compute one report row within ``budget`` work units (see
+    :func:`~germ.invariants.germ_invariants`); pure apart from the
+    timing field."""
     start = time.perf_counter()
-    inv = germ_invariants(f)
+    inv = germ_invariants(f, budget)
     elapsed = time.perf_counter() - start
     weights = inv.weighted_homogeneous_in_coords
     if not inv.isolated:
@@ -213,51 +214,36 @@ def evaluate_germ(index: int, f: Polynomial) -> ReportRow:
                      inv.ratio, report, elapsed, note, weights)
 
 
-@contextmanager
-def deadline(seconds: float):
-    """Abort the enclosed computation with TimeoutError after ``seconds``.
-
-    Uses the alarm signal, so it works in the main thread of any
-    process, sweep workers included.  A value the timer cannot take
-    raises ValueError; :func:`evaluate_row` sets no deadline for ``None``
-    or 0 and does not enter this one.
-    """
-
-    def handler(signum, frame):
-        raise TimeoutError(f"computation exceeded {seconds} seconds")
-
-    old = signal.signal(signal.SIGALRM, handler)
-    try:
-        try:
-            signal.setitimer(signal.ITIMER_REAL, seconds)
-        except (OverflowError, signal.ItimerError):
-            raise ValueError(f"cannot set a deadline of {seconds} seconds") from None
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
+#: Bound of a row's work budget: 2**63 units, about 225,000 years at
+#: :data:`~germ.invariants._UNITS_PER_SECOND`.
+_MAX_BUDGET = 1 << 63
 
 
 def evaluate_row(index: int, f: Polynomial, seconds: float | None) -> ReportRow:
-    """``evaluate_germ`` under a deadline; an undecided germ gets a partial row.
+    """``evaluate_germ`` within a work budget; an undecided germ gets a partial row.
 
-    A germ past the deadline becomes a ``timeout`` row, one past the
-    portfolio's work ceiling a ``budget exceeded`` row with its measured
-    time.  With no deadline the germ is evaluated without entering
-    :func:`deadline`.
+    ``seconds`` is the budget at the fixed rate
+    :data:`~germ.invariants._UNITS_PER_SECOND`; None or 0 leaves the
+    default :data:`~germ.invariants._CEILING`, and a budget past
+    ``_MAX_BUDGET`` units raises ValueError.  The budget bounds each of
+    the germ's paths to its Tjurina number
+    (:func:`~germ.invariants._raced`), in whichever process evaluates
+    it, so which germs it decides does not depend on the machine or its
+    load.  A germ past it becomes a ``budget exceeded`` row with its
+    measured time.
     """
+    budget = _CEILING
+    if seconds:
+        units = seconds * _UNITS_PER_SECOND
+        if not 0 <= units < _MAX_BUDGET:
+            raise ValueError(f"{seconds} seconds is past the bound of {_MAX_BUDGET} work units")
+        budget = int(units)
     start = time.perf_counter()
     try:
-        if not seconds:
-            return evaluate_germ(index, f)
-        with deadline(seconds):
-            return evaluate_germ(index, f)
-    except TimeoutError:
-        note, elapsed = "timeout", float(seconds)
+        return evaluate_germ(index, f, budget)
     except ComputationBudgetExceeded:
-        note, elapsed = "budget exceeded", time.perf_counter() - start
-    return ReportRow(index, str(f), len(f.vars) - 1, None, None, None,
-                     None, None, elapsed, note=note)
+        return ReportRow(index, str(f), len(f.vars) - 1, None, None, None,
+                         None, None, time.perf_counter() - start, note="budget exceeded")
 
 
 def _evaluate_chunk(start: int, germs: list[Polynomial],
@@ -405,9 +391,10 @@ def sweep(spec: SweepSpec, threads: int = 1, timeout: float | None = None) -> Sw
     ``threads`` caps the number of worker processes, which take rows in
     chunks through a window of ``2 * threads`` chunks in flight; rows
     keep corpus order regardless.
-    ``timeout`` is a per-row deadline in seconds, enforced in whichever
-    process evaluates the row; a row that misses it is reported with
-    the note ``timeout``.
+    ``timeout`` is each row's work budget in seconds, as
+    :func:`evaluate_row` takes it, so the same rows are decided at any
+    thread count; a row past it is reported with the note ``budget
+    exceeded``.
     """
     if threads < 1:
         raise ValueError("thread count must be positive")

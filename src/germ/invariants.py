@@ -5,6 +5,10 @@ ring, the Tjurina number the codimension after adjoining the germ
 itself.  Both are computed exactly through local standard bases; a germ
 is isolated exactly when its Milnor number is finite.
 
+A germ's work budget, in the kernel's deterministic work units, bounds
+each of its two paths to ``tau`` (:func:`_raced`), so which germs are
+left undecided depends on the germ and the budget alone.
+
 A germ that leaves the precedence portfolio's probe round races its
 Tjurina number on a second CPU (:func:`_raced`): one forked lane
 completes the Tjurina ideal from scratch under round 1's leader while
@@ -83,6 +87,17 @@ def _candidate_precedences(vars: tuple[str, ...]) -> list[tuple[str, ...]]:
 #: germ finish in it, and the paper's germ wins at 1M units.
 _BUDGETS = (15_625, 1_000_000, 4_000_000, 16_000_000)
 
+#: Default work-unit budget of a germ along each of its two paths
+#: (:func:`_raced`): above the 28M units the portfolio can spend in all
+#: its rounds and the 17.7M of the warm start of ladder d=30.
+_CEILING = 64_000_000
+
+#: Work units per second of a budget given in seconds: the engine's
+#: rate fitted by least squares on the logarithms of the seconds of its
+#: runs above 100k units (0.37 s per million units; 2-core VM, Python
+#: 3.11.7), each of which took within 2x of it.
+_UNITS_PER_SECOND = 2_700_000
+
 
 @functools.lru_cache(maxsize=256)
 def _order(vars: tuple[str, ...], precedence: tuple[str, ...]) -> LocalOrder:
@@ -91,48 +106,58 @@ def _order(vars: tuple[str, ...], precedence: tuple[str, ...]) -> LocalOrder:
     return LocalOrder(vars, precedence)
 
 
-def _round(runs, budget: int) -> tuple[StandardBasis, _Rec] | tuple[None, list]:
+def _round(runs, budget: int, left: list[int]) -> tuple[StandardBasis, _Rec] | tuple[None, list]:
     """One portfolio round at ``budget`` over ``runs`` in rank order,
     each ``(pairs left by its last run, order, that run's budget,
     encoded f)``: the winner's basis with the record of ``f`` in its
-    order, or None with the failed runs ranked for the next round."""
+    order, or None with the failed runs ranked for the next round.
+
+    ``left`` holds the germ's units left; each attempt is clipped to
+    them, and draws its limit from them when it fails, the units it
+    charged when it wins."""
     failed = []
-    for rank, (left, order, spent, terms) in enumerate(runs):
-        limit = max(budget >> 2 * rank, _BUDGETS[0])
+    for rank, (pairs, order, spent, terms) in enumerate(runs):
+        limit = min(max(budget >> 2 * rank, _BUDGETS[0]), left[0])
         if limit <= spent:  # it would fail the same way again
-            failed.append((left, order, spent, terms))
+            failed.append((pairs, order, spent, terms))
             continue
         grad, frec = _germ_records(terms, order)
         try:
-            return standard_basis(grad, order, step_limit=limit), frec
+            jac = standard_basis(grad, order, step_limit=limit)
         except ComputationBudgetExceeded as exc:
+            left[0] -= limit
             failed.append((exc.pairs_left, order, limit, terms))
+            continue
+        left[0] -= jac._work
+        return jac, frec
     return None, sorted(failed, key=lambda run: run[0])  # stable
 
 
-def _probe_round(f: Polynomial) -> tuple[StandardBasis, _Rec] | tuple[None, list]:
+def _probe_round(f: Polynomial, left: list[int]) -> tuple[StandardBasis, _Rec] | tuple[None, list]:
     """Round 0 of the portfolio of :func:`_portfolio_basis`, as :func:`_round`."""
     _require_germ(f)
     orders = (_order(f.vars, p) for p in _candidate_precedences(f.vars))
     # Only the encoding is kept: holding every order's records through
     # the winning run raised benchmark_germ's peak RSS by about 0.15 MB.
-    return _round(((0, order, 0, _encode_poly(f, order)) for order in orders), _BUDGETS[0])
+    return _round(((0, order, 0, _encode_poly(f, order)) for order in orders), _BUDGETS[0],
+                  left)
 
 
-def _later_rounds(ranked: list) -> tuple[StandardBasis, _Rec]:
+def _later_rounds(ranked: list, left: list[int]) -> tuple[StandardBasis, _Rec]:
     """The rounds after the probe, from its ranked runs, as in
     :func:`_portfolio_basis`."""
     for budget in _BUDGETS[1:]:
-        jac, rest = _round(ranked, budget)
+        jac, rest = _round(ranked, budget, left)
         if jac is not None:
             return jac, rest
         ranked = rest
     raise ComputationBudgetExceeded(
-        f"no variable precedence finished within its budget; the last round's "
-        f"leader ran out of {_BUDGETS[-1]} work units")
+        "no variable precedence finished within its budget; " + (
+            f"the last round's leader ran out of {_BUDGETS[-1]} work units" if left[0]
+            else "the germ's work budget ran out"))
 
 
-def _portfolio_basis(f: Polynomial) -> tuple[StandardBasis, _Rec]:
+def _portfolio_basis(f: Polynomial, left: list[int]) -> tuple[StandardBasis, _Rec]:
     """Gradient standard basis of a valid germ ``f`` under the cheapest
     variable precedence, with the record of ``f`` in the winner's order.
 
@@ -159,20 +184,22 @@ def _portfolio_basis(f: Polynomial) -> tuple[StandardBasis, _Rec]:
     in every ring order.  Runs restart at the larger budget rather than
     resume, so failed runs hold no memory.  Every step is deterministic,
     so the returned basis, and everything derived from it, is
-    reproducible.  When no precedence finishes within the last round,
-    whose leader alone gets the last budget, the germ is left undecided
-    with :class:`ComputationBudgetExceeded`.  Round 0 is
+    reproducible.  Every attempt is clipped to the germ's units
+    ``left`` (:func:`_round`).  When no precedence finishes within the
+    last round, whose leader alone gets the last budget, or within the
+    germ's units, the germ is left undecided with
+    :class:`ComputationBudgetExceeded`.  Round 0 is
     :func:`_probe_round` and the later rounds :func:`_later_rounds`;
     between them :func:`_mu_tau` forks its Tjurina lanes, once round 0
     has ranked the runs and so named round 1's leader.
     """
-    jac, rest = _probe_round(f)
-    return (jac, rest) if jac is not None else _later_rounds(rest)
+    jac, rest = _probe_round(f, left)
+    return (jac, rest) if jac is not None else _later_rounds(rest, left)
 
 
 def jacobian_basis(f: Polynomial) -> StandardBasis:
     """Standard basis of the gradient ideal of a valid germ."""
-    return _portfolio_basis(f)[0]
+    return _portfolio_basis(f, [_CEILING])[0]
 
 
 def milnor_number(f: Polynomial) -> int | float:
@@ -180,10 +207,10 @@ def milnor_number(f: Polynomial) -> int | float:
     return quotient_codimension(jacobian_basis(f))
 
 
-def _tau(frec: _Rec, jac: StandardBasis, mu: int | float) -> int | float:
+def _tau(frec: _Rec, jac: StandardBasis, mu: int | float, limit: int) -> int | float:
     """Tjurina number from the gradient basis, warm-started with the
-    record ``frec`` of the germ ``f`` in the basis's order; lane B of
-    :func:`_raced`.
+    record ``frec`` of the germ ``f`` in the basis's order, within
+    ``limit`` work units; lane B of :func:`_raced`.
 
     ``f`` lies in the integral closure of ``m*J``, so ``V(J, f) = V(J)``
     and ``tau`` is finite exactly when ``mu`` is; an infinite ``mu`` needs
@@ -191,14 +218,16 @@ def _tau(frec: _Rec, jac: StandardBasis, mu: int | float) -> int | float:
     """
     if mu == INFINITE:
         return INFINITE
-    return quotient_codimension(extend_standard_basis(jac, [frec]))
+    return quotient_codimension(extend_standard_basis(jac, [frec], step_limit=limit))
 
 
-def _scratch_tau(terms: dict, order: LocalOrder) -> int | float:
+def _scratch_tau(terms: dict, order: LocalOrder, limit: int) -> int | float:
     """Tjurina number of the germ encoded as ``terms`` in ``order``,
-    completed from scratch; lane A of :func:`_raced`."""
+    completed from scratch within ``limit`` work units; lane A of
+    :func:`_raced`."""
     grad, frec = _germ_records(terms, order)
-    return quotient_codimension(standard_basis(grad + [frec], order))
+    return quotient_codimension(standard_basis(grad + [frec], order, step_limit=limit))
+
 
 
 #: Whether this process may fork Tjurina lanes at all: only where
@@ -206,9 +235,9 @@ def _scratch_tau(terms: dict, order: LocalOrder) -> int | float:
 #: :func:`_no_lanes` in sweep workers.
 _LANES = hasattr(os, "sched_getaffinity")
 
-#: Blocked from a lane's fork until its pid is listed, so neither a
-#: deadline nor an interrupt can lose a child; they stay blocked in it.
-_LANE_SIGNALS = (signal.SIGALRM, signal.SIGINT)
+#: Blocked from a lane's fork until its pid is listed, so an interrupt
+#: cannot lose a child; it stays blocked in the child.
+_LANE_SIGNALS = (signal.SIGINT,)
 
 #: Linux ``prctl`` option: the signal a process gets when its parent dies.
 _PR_SET_PDEATHSIG = 1
@@ -288,37 +317,51 @@ def _first_answer(fds: list[int]) -> int | None:
     return None
 
 
-def _raced(ranked: list) -> tuple[int | float, int | float]:
+def _raced(ranked: list, left: list[int]) -> tuple[int | float, int | float]:
     """Milnor and Tjurina numbers of a germ that left the probe round,
-    from the runs that round ``ranked``, with ``tau`` raced in two lanes.
+    from the runs that round ``ranked`` and the germ's units ``left``.
 
-    Lane A, forked first, completes the Tjurina ideal from scratch under
-    round 1's leader (:func:`_scratch_tau`) while this process runs the
-    later rounds.  Once ``mu`` is known, lane B runs the warm start
-    :func:`_tau` from the winner's basis, and the first lane to answer
-    gives ``tau``.  Both lanes complete the same ideal, so the answer
-    does not depend on which one wins.  Lane B is needed: the leader may
-    lose its round, and from scratch under a loser ``tau`` can take far
-    longer (35-43 s under (x,z,y) against 0.14-0.16 s under the winner
-    (y,x,z) on ``x^12+y^4*z^8+z^12+x^6*z^6+(x+y+z)^13``).  A lane that closes
-    its pipe without an answer is dropped, and when none answers this
-    process runs :func:`_tau` itself, so no answer depends on a child.
-    An infinite ``mu`` gives an infinite ``tau`` with no lane waited
-    for.  On every exit, a budget error, a deadline's ``TimeoutError``
-    and ``KeyboardInterrupt`` included (they propagate unchanged), every
-    lane is killed and reaped and its pipe closed.
+    The germ's budget bounds each of two paths to ``tau``: the later
+    rounds plus the warm start :func:`_tau` from the winner's basis,
+    and lane A, which completes the Tjurina ideal from scratch under
+    round 1's leader (:func:`_scratch_tau`) in the units the probe round
+    left.  Both complete the same ideal, so ``tau`` does not depend on
+    the path, and it is decided when either path fits; ``mu`` needs the
+    later rounds.  Where :func:`_lanes_fit` allows and units are left,
+    the paths race: lane A is forked first and runs while this process
+    runs the later rounds, then lane B runs the warm start, and the
+    first lane to answer gives ``tau``.  Lane B is needed: the leader
+    may lose its round, and from scratch under a loser ``tau`` can take
+    far longer (35-43 s under (x,z,y) against 0.14-0.16 s under the
+    winner (y,x,z) on ``x^12+y^4*z^8+z^12+x^6*z^6+(x+y+z)^13``).  A lane
+    that closes its pipe without an answer, out of units or not, is
+    dropped.  When none answers, or none was forked, this process runs
+    the warm start, and the scratch run only if that runs out: lanes or
+    not, the same germs are decided.  An infinite ``mu`` gives an
+    infinite ``tau`` with no lane waited for.  On every exit, a budget
+    error and ``KeyboardInterrupt`` included (they propagate
+    unchanged), every lane is killed and reaped and its pipe closed.
     """
     lanes: list[tuple[int, int]] = []
+    _, leader, _, terms = ranked[0]
+    scratch = terms, leader, left[0]
+    race = left[0] and _lanes_fit()
     try:
-        _, leader, _, terms = ranked[0]
-        _fork_lane(lanes, _scratch_tau, terms, leader)
-        jac, frec = _later_rounds(ranked)
+        if race:
+            _fork_lane(lanes, _scratch_tau, *scratch)
+        jac, frec = _later_rounds(ranked, left)
         mu = quotient_codimension(jac)
         if mu == INFINITE:
             return mu, INFINITE
-        _fork_lane(lanes, _tau, frec, jac, mu)
-        tau = _first_answer([fd for _, fd in lanes])
-        return mu, _tau(frec, jac, mu) if tau is None else tau
+        if race:
+            _fork_lane(lanes, _tau, frec, jac, mu, left[0])
+            tau = _first_answer([fd for _, fd in lanes])
+            if tau is not None:
+                return mu, tau
+        try:
+            return mu, _tau(frec, jac, mu, left[0])
+        except ComputationBudgetExceeded:
+            return mu, _scratch_tau(*scratch)
     finally:
         for pid, fd in lanes:
             with suppress(ProcessLookupError, ChildProcessError):  # reaped elsewhere
@@ -327,22 +370,21 @@ def _raced(ranked: list) -> tuple[int | float, int | float]:
             os.close(fd)
 
 
-def _mu_tau(f: Polynomial) -> tuple[int | float, int | float]:
-    """Milnor and Tjurina numbers of a valid germ ``f``.
+def _mu_tau(f: Polynomial, budget: int = _CEILING) -> tuple[int | float, int | float]:
+    """Milnor and Tjurina numbers of a valid germ ``f`` within ``budget``
+    work units along each path (:func:`_raced`).
 
     A germ decided in the probe round, as every ladder and sweep germ
-    is, runs the warm start :func:`_tau` in this process.  A germ that
-    leaves it races its Tjurina lanes (:func:`_raced`) where
-    :func:`_lanes_fit` allows, and otherwise runs the later rounds and
-    the warm start in this process.
+    is, runs the warm start :func:`_tau` in this process in the units
+    left.  A germ that leaves it goes on in :func:`_raced`.  A germ
+    past its budget raises :class:`ComputationBudgetExceeded`.
     """
-    jac, rest = _probe_round(f)
+    left = [budget]
+    jac, rest = _probe_round(f, left)
     if jac is None:
-        if _lanes_fit():
-            return _raced(rest)
-        jac, rest = _later_rounds(rest)
+        return _raced(rest, left)
     mu = quotient_codimension(jac)
-    return mu, _tau(rest, jac, mu)
+    return mu, _tau(rest, jac, mu, left[0])
 
 
 def tjurina_number(f: Polynomial) -> int | float:
@@ -350,13 +392,15 @@ def tjurina_number(f: Polynomial) -> int | float:
     return _mu_tau(f)[1]
 
 
-def germ_invariants(f: Polynomial) -> GermInvariants:
+def germ_invariants(f: Polynomial, budget: int = _CEILING) -> GermInvariants:
     """Aggregate mu, tau, isolatedness and a weight vector if one exists.
 
     The gradient standard basis is reused as a warm start for the
-    Tjurina ideal, so this is cheaper than two independent runs.
+    Tjurina ideal, so this is cheaper than two independent runs.  A
+    germ that does not fit ``budget`` work units raises
+    :class:`ComputationBudgetExceeded`.
     """
-    mu, tau = _mu_tau(f)
+    mu, tau = _mu_tau(f, budget)
     return GermInvariants(
         germ_dimension=len(f.vars) - 1,
         mu=mu,

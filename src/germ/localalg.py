@@ -298,16 +298,18 @@ class StandardBasis:
     of its top layer (exact whenever the staircase is finite and not
     empty, empty otherwise), and ``_size``, the number of its monomials
     (:data:`INFINITE` when it is infinite), or None when a record with a
-    new leading monomial came after the last count.  :meth:`contains`
-    decides ideal membership.
+    new leading monomial came after the last count; ``_work`` is the
+    work units that completion charged.  :meth:`contains` decides ideal
+    membership.
     """
 
     def __init__(self, records: list[_Rec], order: LocalOrder,
-                 layer: list[int], size: int | float | None):
+                 layer: list[int], size: int | float | None, work: int):
         self.order = order
         self._records = records
         self._layer = layer
         self._size = size
+        self._work = work
 
     @cached_property
     def leading_ideal(self) -> tuple[Monomial, ...]:
@@ -431,8 +433,9 @@ def _staircase_of(records: Sequence[_Rec], order: LocalOrder) -> tuple[int, int,
 
 
 def _add_shifted(h: dict, a: int, s: int, rec: _Rec, corner_code: int,
-                 order: LocalOrder) -> None:
-    """``h += a * x^s * tail(rec)`` in place, dropping codes at or above ``corner_code``.
+                 order: LocalOrder) -> int:
+    """``h += a * x^s * tail(rec)`` in place, dropping codes at or above
+    ``corner_code``; returns the number of tail terms visited.
 
     ``k + s < corner_code`` exactly when ``k < corner_code - s``, so the
     kept terms are the prefix of the sorted tail up to a bisection, and
@@ -458,6 +461,7 @@ def _add_shifted(h: dict, a: int, s: int, rec: _Rec, corner_code: int,
                 h[k] = v
             else:
                 del h[k]
+    return len(keys)
 
 
 def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
@@ -526,35 +530,37 @@ def _reduce(h: dict, records: list[_Rec], order: LocalOrder, corner_code: int,
                 if degree is not None:
                     return _strip(h)
                 reducers.append(_make_rec(_strip(dict(h)), order))
-        # Work is metered in tail-term operations, the terms past the
-        # corner included, plus a coefficient-size surcharge, so runaway
-        # precedences fail their budget early.
-        work[0] += len(best.keys) + 1
-        if step_limit is not None and work[0] > step_limit:
-            raise ComputationBudgetExceeded(f"standard-basis run exceeded {step_limit} work units")
         a = h.pop(lm_h)
         lc = best.lc
-        # The surcharge is priced on the multiplier a*sn/(sd*lc) of the
-        # rational remainder h*sn/sd, in lowest terms.  A tail-term
-        # operation with a b-bit multiplier costs about 1 + b/128 +
-        # (b/512)^2 times one on small integers (measured): below 128
-        # bits nothing is added, above it a pre-corner Mora reduction
-        # whose own snapshots compound the coefficients fails its budget
-        # in proportion to its real cost.
-        num = a * sn
-        den = sd * lc
-        g = gcd(num, den)
-        bits = (num // g).bit_length() + (den // g).bit_length()
-        if mora and degree is None and bits > _RUNAWAY_BITS:
-            raise _Runaway
-        work[0] += (bits >> 3) + len(best.keys) * ((bits >> 7) + (bits * bits >> 18))
+        if mora:
+            # Before a corner the snapshots compound the coefficients, so
+            # a step is surcharged on the multiplier a*sn/(sd*lc) of the
+            # rational remainder h*sn/sd, in lowest terms: a tail-term
+            # operation with a b-bit multiplier costs about 1 + b/128 +
+            # (b/512)^2 times one on small integers (measured).  Below
+            # 128 bits nothing is added; above it a reduction whose own
+            # snapshots compound fails its budget in proportion to its
+            # real cost.
+            num = a * sn
+            den = sd * lc
+            g = gcd(num, den)
+            bits = (num // g).bit_length() + (den // g).bit_length()
+            if degree is None and bits > _RUNAWAY_BITS:
+                raise _Runaway
         g = gcd(a, lc)
         m = lc // g
         if m != 1:
             h = {k: c * m for k, c in h.items()}
             sd *= m
             grown += m.bit_length()
-        _add_shifted(h, -(a // g), lm_h - best.lm, best, corner_code, order)
+        # Work is metered in the tail terms the step visits, those below
+        # the corner, one unit for the leading term, and the surcharge.
+        n = _add_shifted(h, -(a // g), lm_h - best.lm, best, corner_code, order)
+        work[0] += n + 1
+        if mora:
+            work[0] += (bits >> 3) + n * ((bits >> 7) + (bits * bits >> 18))
+        if step_limit is not None and work[0] > step_limit:
+            raise ComputationBudgetExceeded(f"standard-basis run exceeded {step_limit} work units")
         if grown > 64 and h:
             grown = 0
             c = _content(h)
@@ -677,7 +683,7 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
             raise
         new = records[start_pairs_from:] = [_make_rec(rem, order) for rem in rems if rem]
         if not new:
-            return StandardBasis(records, order, outside, size)
+            return StandardBasis(records, order, outside, size, work[0])
     if any(all(((r.lm | guard) - o.lm) & guard != guard for o in records[:start_pairs_from])
            for r in new):
         size = None  # a new leading monomial
@@ -716,7 +722,7 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
             size = None
             push_pairs(len(records) - 1)
             refresh_corner(records[-1:])
-    return StandardBasis(records, order, outside, size)
+    return StandardBasis(records, order, outside, size, work[0])
 
 
 def _complete_homogeneous(records: list[_Rec], order: LocalOrder, work: list,
@@ -776,7 +782,7 @@ def _complete_homogeneous(records: list[_Rec], order: LocalOrder, work: list,
             records.append(_make_rec(rem, order))
             push_pairs(len(records) - 1)
     size, _, layer = _staircase_of(records, order) or (INFINITE, 0, [])
-    return StandardBasis(records, order, layer, size)
+    return StandardBasis(records, order, layer, size, work[0])
 
 
 def _prepare_records(gens: Sequence[Polynomial | _Rec], order: LocalOrder) -> list[_Rec]:

@@ -198,21 +198,22 @@ def test_parallel_sweep_matches_serial():
 
 
 def _rigged_evaluate_germ(monkeypatch):
-    """Rows 1-4 of a fermat sweep become non-isolated, timeout, budget
-    exceeded and a fake with a report but no ratio; the rest are real."""
+    """Rows 1-4 of a fermat sweep become non-isolated, over a budget of
+    no unit, rigged to exceed its budget and a fake with a report but no
+    ratio; the rest are real."""
     evaluate = germ.corpus.evaluate_germ
 
-    def rigged(index, f):
+    def rigged(index, f, budget):
         if index == 1:
-            return evaluate(index, parse_polynomial("x^2", f.vars))
+            return evaluate(index, parse_polynomial("x^2", f.vars), budget)
         if index == 2:
-            raise TimeoutError
+            return evaluate(index, f, 0)
         if index == 3:
             raise ComputationBudgetExceeded("rigged")
         if index == 4:
             return ReportRow(index, str(f), 1, 4, 2, True, None, bound_report(4, 2, 1), 0.25,
                              note="saito direction violated")
-        return evaluate(index, f)
+        return evaluate(index, f, budget)
 
     monkeypatch.setattr(germ.corpus, "evaluate_germ", rigged)
 
@@ -232,8 +233,8 @@ def test_sweep_rows_read_back_exactly(monkeypatch):
     result = sweep(SweepSpec(family="fermat", d_min=2, d_max=7), timeout=60)
     rows = result.rows
     assert [(r.isolated, r.note) for r in made[:5]] == [
-        (True, ""), (False, "non-isolated; excluded from summary"), (None, "timeout"),
-        (None, "budget exceeded"), (True, "saito direction violated")]
+        (True, ""), (False, "non-isolated; excluded from summary"),
+        (None, "budget exceeded"), (None, "budget exceeded"), (True, "saito direction violated")]
     assert made[4].ratio is None and made[4].report is not None
     assert len(rows) == len(made) == 6
     for got, want in zip(rows, made):
@@ -259,7 +260,8 @@ def test_pooled_rows_read_back_like_serial_rows(monkeypatch):
     serial, pooled = sweep(spec, timeout=60), sweep(spec, threads=2, timeout=60)
     untimed = lambda row: dataclasses.replace(row, wall_time_s=0.0)
     assert list(map(untimed, pooled.rows)) == list(map(untimed, serial.rows))
-    assert pooled.rows[2].wall_time_s == 60.0
+    # An undecided row's time is measured, as its worker took it.
+    assert pooled.rows[2].note == "budget exceeded" and pooled.rows[2].wall_time_s < 60
     assert dataclasses.replace(pooled, rows=()) == dataclasses.replace(serial, rows=())
 
 

@@ -190,10 +190,9 @@ def test_portfolio_ranks_rounds_by_pairs_left_and_keeps_ties(monkeypatch):
 
 
 @pytest.mark.parametrize("text,mu,attempts", [
-    # Round 1's leader wins at 1M units.
+    # The third probe, (y,x,z), wins: its run charges 10,903 units.
     ("x^7+y^3*z^4+z^7+x^4*z^3+(x+y+z)^8", 234,
-     [(XYZ, 15_625, 72), (XZY, 15_625, 72), (YXZ, 15_625, 22), (YZX, 15_625, 68),
-      (ZXY, 15_625, 56), (ZYX, 15_625, 108), (YXZ, 1_000_000, "ok")]),
+     [(XYZ, 15_625, 72), (XZY, 15_625, 72), (YXZ, 15_625, "ok")]),
     # Round 1's leader fails at 1M units and ranks 1 and 2 at their
     # scaled budgets; ranks 3 to 5 are not rerun at the probe budget.
     # (y,x,z) then leaves the fewest pairs and wins round 2 at 4M.
@@ -204,7 +203,7 @@ def test_portfolio_ranks_rounds_by_pairs_left_and_keeps_ties(monkeypatch):
 ])
 def test_portfolio_attempts_on_cheap_paper_shape_rows_are_pinned(monkeypatch, text, mu, attempts):
     # Germs of the paper's shape x^a+y^b*z^c+z^a+x^p*z^q+(x+y+z)^(a+1)
-    # with b+c = p+q = a that leave the probe round.
+    # with b+c = p+q = a.
     spied = _spy_attempts(monkeypatch)
     jac = jacobian_basis(P(text, ("x", "y", "z")))
     assert quotient_codimension(jac) == mu
@@ -280,15 +279,15 @@ def _in_child(lane):
     return wrapped
 
 
-CHEAP_PAPER_SHAPE = "x^7+y^3*z^4+z^7+x^4*z^3+(x+y+z)^8"  # mu 234, tau 181, wins at 1M
+CHEAP_PAPER_SHAPE = "x^9+y^4*z^5+z^9+x^6*z^3+(x+y+z)^10"  # mu 544, tau 408, wins at 1M
 
 
 @pytest.mark.parametrize("text,ring", [
     # The paper's germ in the ring orders of benchmark seeds 0 and 1.
     (PAPER_GERM, XYZ), (PAPER_GERM, XZY), (PAPER_GERM, YZX),
-    # The rows of test_portfolio_attempts_on_cheap_paper_shape_rows_are_pinned.
+    # A paper-shape row that wins at 1M, and one that wins at 4M.
     (CHEAP_PAPER_SHAPE, XYZ), ("x^9+y*z^8+z^9+x^6*z^3+(x+y+z)^10", XYZ),
-], ids=["paper-xyz", "paper-xzy", "paper-yzx", "mu234", "mu568"])
+], ids=["paper-xyz", "paper-xzy", "paper-yzx", "mu544", "mu568"])
 def test_tjurina_lanes_give_the_serial_answers(monkeypatch, text, ring):
     # A germ that leaves the probe round forks lane A (from scratch under
     # round 1's leader) and, once mu is known, lane B (the warm start);
@@ -316,26 +315,62 @@ def test_lanes_are_reaped_when_the_budget_runs_out(monkeypatch):
     _assert_no_child()
 
 
-@pytest.mark.parametrize("seconds,hang", [(0.05, False), (1.0, True)],
-                         ids=["probe-round", "waiting-on-lanes"])
-def test_lanes_are_reaped_past_the_deadline(monkeypatch, seconds, hang):
-    # The paper's germ at 0.05 s misses its deadline in the probe round;
-    # with lanes that never answer, a germ misses it while this process
-    # waits on their pipes.  Either way the row is a timeout row and no
-    # child is left.
-    forks = _forks(monkeypatch, True)
-    text = PAPER_GERM
-    if hang:
-        def stall(*args):  # ends by itself should a lane outlive the test
-            time.sleep(30)
+#: Work units of the paper's germ under XYZ: its probe round, the 1M
+#: win of (y,x,z), the warm start from that basis, and lane A's run from
+#: scratch under (y,x,z).
+PAPER_PROBE, PAPER_WIN, PAPER_WARM, PAPER_SCRATCH = 93_750, 303_328, 407_935, 422_594
 
-        monkeypatch.setattr(germ.invariants, "_scratch_tau", stall)
-        monkeypatch.setattr(germ.invariants, "_tau", stall)
-        text = CHEAP_PAPER_SHAPE
-    row = germ.corpus.evaluate_row(0, P(text, XYZ), seconds)
-    assert (row.note, row.mu, row.tau) == ("timeout", None, None)
-    assert len(forks) == (2 if hang else 0)
+
+def _row(text, budget):
+    """The report row of ``text`` in ring XYZ at a budget of ``budget`` units."""
+    return germ.corpus.evaluate_row(0, P(text, XYZ),
+                                    budget / germ.invariants._UNITS_PER_SECOND)
+
+
+@pytest.mark.parametrize("budget,forked", [
+    (65_000, 0), (PAPER_PROBE + PAPER_WIN + 50_000, 2),
+], ids=["probe-round", "waiting-on-lanes"])
+def test_lanes_are_reaped_past_the_deadline(monkeypatch, budget, forked):
+    # A budget that ends inside the probe round leaves no unit for a
+    # lane, so none is forked.  One that leaves 50,000 units after the
+    # later rounds is too small for lane B's warm start, and lane A,
+    # which gets the units the probe left, runs out before its answer
+    # too: neither lane answers, this process runs out on both paths,
+    # and the row is undecided with no child left.
+    assert PAPER_SCRATCH > PAPER_WIN + 50_000 and PAPER_WARM > 50_000
+    forks = _forks(monkeypatch, True)
+    row = _row(PAPER_GERM, budget)
+    assert (row.note, row.mu, row.tau, row.isolated) == ("budget exceeded", None, None, None)
+    assert len(forks) == forked
     _assert_no_child()
+
+
+@pytest.mark.parametrize("lanes", [False, True])
+def test_either_path_decides_tau_with_lanes_on_and_off(monkeypatch, lanes):
+    # The budget bounds the portfolio plus the warm start, and the probe
+    # plus lane A's run from scratch, apart: tau is decided when either
+    # fits.  Here only the scratch path fits, so lane A answers, or this
+    # process runs the warm start, runs out and completes from scratch.
+    budget = PAPER_PROBE + PAPER_SCRATCH + 1_000
+    assert budget < PAPER_PROBE + PAPER_WIN + PAPER_WARM
+    forks = _forks(monkeypatch, lanes)
+    row = _row(PAPER_GERM, budget)
+    assert (row.mu, row.tau, row.note) == (2288, 1660, "")
+    assert len(forks) == (2 if lanes else 0)
+    _assert_no_child()
+
+
+def test_paper_germ_path_units_are_pinned():
+    # The figures the budget tests above are built on.
+    f = P(PAPER_GERM, XYZ)
+    left = [germ.invariants._CEILING]
+    _, ranked = germ.invariants._probe_round(f, left)
+    assert germ.invariants._CEILING - left[0] == PAPER_PROBE
+    jac, frec = germ.invariants._later_rounds(ranked, left)
+    assert jac._work == PAPER_WIN
+    assert germ.localalg.extend_standard_basis(jac, [frec])._work == PAPER_WARM
+    grad, frec = germ.localalg._germ_records(ranked[0][3], ranked[0][1])
+    assert germ.localalg.standard_basis(grad + [frec], ranked[0][1])._work == PAPER_SCRATCH
 
 
 def test_lanes_are_reaped_on_interrupt(monkeypatch):
@@ -358,7 +393,7 @@ def test_a_lane_that_dies_without_answering_is_dropped(monkeypatch):
                         _in_child(germ.invariants._scratch_tau))
     assert tjurina_number(P(PAPER_GERM, XYZ)) == 1660
     monkeypatch.setattr(germ.invariants, "_tau", _in_child(germ.invariants._tau))
-    assert tjurina_number(P(CHEAP_PAPER_SHAPE, XYZ)) == 181
+    assert tjurina_number(P(CHEAP_PAPER_SHAPE, XYZ)) == 408
     assert len(forks) == 4
     _assert_no_child()
 
@@ -414,7 +449,7 @@ def test_a_refused_fork_leaves_the_work_to_this_process(monkeypatch):
     _forks(monkeypatch, True)
     monkeypatch.setattr(os, "fork", refuse)
     inv = germ_invariants(P(CHEAP_PAPER_SHAPE, XYZ))
-    assert (inv.mu, inv.tau) == (234, 181)
+    assert (inv.mu, inv.tau) == (544, 408)
     _assert_no_child()
 
 

@@ -8,7 +8,10 @@ Run from the repository root, for example::
 
 For every workload that ``BENCHMARK.json`` declares, and for each of the
 seeds 0, 1 and 2, it runs ``germbench/run.py`` once untraced and once
-traced, as separate processes one after the other.  The file
+traced, as separate processes one after the other.  Before the first
+run the ``src`` and ``germbench`` modules are compiled to bytecode, as
+``tools/bench_pairs.py`` does, so no run loads stale bytecode or
+compiles its modules at every start.  The file
 it writes holds, per workload, the median over the seeds and the
 per-seed values of every end-to-end metric (untraced runs) and every
 per-layer metric (traced runs), the number of runs that failed or
@@ -22,6 +25,7 @@ Exit status: 0 when every run answered correctly, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import compileall
 import datetime
 import json
 import os
@@ -95,6 +99,8 @@ def main(argv=None) -> int:
               "recorded_at": datetime.datetime.now(datetime.timezone.utc).isoformat(
                   timespec="seconds"),
               "seeds": seeds, "seconds": seconds, "smoke": args.smoke, "workloads": {}}
+    for tree in ("src", "germbench"):
+        compileall.compile_dir(ROOT / tree, quiet=1)
     all_ok = True
     for w in declared["workloads"]:
         name = w["name"]
