@@ -95,7 +95,10 @@ _CEILING = 64_000_000
 #: Work units per second of a budget given in seconds: the engine's
 #: rate fitted by least squares on the logarithms of the seconds of its
 #: runs above 100k units (0.37 s per million units; 2-core VM, Python
-#: 3.11.7), each of which took within 2x of it.
+#: 3.11.7), each of which took within 2x of it.  Lazard's completion is
+#: the exception: it pays the coefficient-bit surcharge on every step
+#: and ran at 0.09-0.19 s per million units, so a germ that reaches it
+#: gives up 2-4x sooner in seconds.
 _UNITS_PER_SECOND = 2_700_000
 
 

@@ -591,7 +591,7 @@ def _spoly(f: _Rec, g: _Rec, lcm_code: int, order: LocalOrder,
 def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
               step_limit: int | None = None, outside: Sequence[int] = (),
               size: int | float | None = None) -> StandardBasis:
-    """Buchberger completion with Mora normal forms.
+    """Buchberger completion with Mora normal forms, or Lazard's.
 
     Pairs are processed by ascending lcm degree, ties by creation order,
     and each s-polynomial is reduced to its remainder in one call.
@@ -630,16 +630,34 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
     smallest monomial lies at or beyond it are truncated and made
     primitive again.
 
+    A reduction whose snapshots compound (:class:`_Runaway`, raised only
+    before a corner, so no record was truncated) moves the run to
+    Lazard's completion: Buchberger's algorithm on the homogenized
+    records.  A record stands for its homogenization by a new variable
+    ``t``, whose leading monomial is ``t^ecart`` times the record's.
+    The homogenized order compares degree first and then the local
+    order, so it is a well-order: every reduction is plain, with no
+    snapshot, and the run terminates.  Setting ``t = 1`` in a Groebner
+    basis of the homogenized ideal gives a standard basis of the local
+    ideal (sec. 1.7).  Remainders are stored dehomogenized, so a power
+    of ``t`` dividing one is dropped; that keeps the records in the
+    saturation of the homogenized ideal, whose dehomogenization is
+    still the local ideal.  The queue is refilled with the pairs of all
+    records, the ones Mora already reduced included, keyed by lcm
+    degree plus the larger ecart; no term is truncated, and the
+    staircase is counted once at the end.
+
     A run that goes past ``step_limit``, those first reductions
     included, raises :class:`ComputationBudgetExceeded` with
     ``pairs_left`` set to the number of s-pairs still queued.
     """
     guard = order._guard
-    heap: list = []  # (lcm degree, seq, i, j, lcm_code)
+    heap: list = []  # (pair degree, seq, i, j, lcm_code)
     pending: set[tuple[int, int]] = set()
     seq = 0
     corner_code = _beyond_codes(order)  # codes at or above it are truncated
     work = [0]
+    lazard = False
 
     def refresh_corner(new: Sequence[_Rec]) -> None:
         nonlocal corner_code, outside, size
@@ -662,10 +680,13 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
 
     def push_pairs(t: int) -> None:
         nonlocal seq
-        lm = records[t].lm
+        r = records[t]
         for i in range(t):
-            lcm_code = order._lcm(records[i].lm, lm)
-            heappush(heap, (order.degree(lcm_code), seq, i, t, lcm_code))
+            lcm_code = order._lcm(records[i].lm, r.lm)
+            degree = order.degree(lcm_code)
+            if lazard:
+                degree += max(records[i].ecart, r.ecart)
+            heappush(heap, (degree, seq, i, t, lcm_code))
             pending.add((i, t))
             seq += 1
 
@@ -692,80 +713,22 @@ def _complete(records: list[_Rec], start_pairs_from: int, order: LocalOrder,
         push_pairs(t)
 
     while heap:
-        _, _, i, j, lcm_code = heappop(heap)
+        degree, _, i, j, lcm_code = heappop(heap)
         pending.discard((i, j))
         if lcm_code >= corner_code:
             continue  # the s-polynomial lives beyond the bound
         fi, gj = records[i], records[j]
-        if _coprime_skip(fi, gj, lcm_code):
+        if lazard:
+            top = degree - order.degree(lcm_code)  # the larger ecart
+            if lcm_code == fi.lm + gj.lm and min(fi.ecart, gj.ecart) == 0:
+                continue  # coprime homogenized leading monomials
+        elif _coprime_skip(fi, gj, lcm_code):
             continue
+        else:
+            top = INFINITE
         # Chain criterion: skip when some other leading monomial divides
-        # the lcm and both companion pairs were already treated.
-        lcm_guard = lcm_code | guard
-        if any((lcm_guard - r.lm) & guard == guard and k != i and k != j
-               and ((i, k) if i < k else (k, i)) not in pending
-               and ((j, k) if j < k else (k, j)) not in pending
-               for k, r in enumerate(records)):
-            continue
-        try:
-            rem = _reduce(_spoly(fi, gj, lcm_code, order, corner_code), records, order,
-                          corner_code, work, step_limit)
-        except ComputationBudgetExceeded as exc:
-            exc.pairs_left = len(heap)
-            raise
-        except _Runaway:
-            # Only raised before a corner, so no record was truncated.
-            return _complete_homogeneous(records, order, work, step_limit)
-        if rem:
-            # No leading monomial of ``records`` divides the remainder's.
-            records.append(_make_rec(rem, order))
-            size = None
-            push_pairs(len(records) - 1)
-            refresh_corner(records[-1:])
-    return StandardBasis(records, order, outside, size, work[0])
-
-
-def _complete_homogeneous(records: list[_Rec], order: LocalOrder, work: list,
-                          step_limit: int | None) -> StandardBasis:
-    """Lazard's completion: Buchberger's algorithm on the homogenized records.
-
-    A record stands for its homogenization by a new variable ``t``,
-    whose leading monomial is ``t^ecart`` times the record's.  The
-    homogenized order compares degree first and then the local order,
-    so it is a well-order: every reduction is plain, with no snapshot,
-    and the run terminates.  Setting ``t = 1`` in a Groebner basis of
-    the homogenized ideal gives a standard basis of the local ideal
-    (Greuel-Pfister, *A Singular Introduction to Commutative Algebra*,
-    sec. 1.7).  Remainders are stored dehomogenized, so a power of
-    ``t`` dividing one is dropped; that keeps the records in the
-    saturation of the homogenized ideal, whose dehomogenization is
-    still the local ideal.  All pairs are treated, the ones a Mora run
-    already reduced included, and no term is truncated.
-    """
-    guard = order._guard
-    beyond = _beyond_codes(order)
-    heap: list = []  # (pair degree, seq, i, j, lcm_code, larger ecart)
-    pending: set[tuple[int, int]] = set()
-    seq = 0
-
-    def push_pairs(t: int) -> None:
-        nonlocal seq
-        r = records[t]
-        for i in range(t):
-            lcm_code = order._lcm(records[i].lm, r.lm)
-            top = max(records[i].ecart, r.ecart)
-            heappush(heap, (order.degree(lcm_code) + top, seq, i, t, lcm_code, top))
-            pending.add((i, t))
-            seq += 1
-
-    for t in range(len(records)):
-        push_pairs(t)
-    while heap:
-        degree, _, i, j, lcm_code, top = heappop(heap)
-        pending.discard((i, j))
-        fi, gj = records[i], records[j]
-        if lcm_code == fi.lm + gj.lm and min(fi.ecart, gj.ecart) == 0:
-            continue  # coprime homogenized leading monomials
+        # the lcm (homogenized in Lazard's run) and both companion pairs
+        # were already treated.
         lcm_guard = lcm_code | guard
         if any((lcm_guard - r.lm) & guard == guard and r.ecart <= top and k != i and k != j
                and ((i, k) if i < k else (k, i)) not in pending
@@ -773,16 +736,29 @@ def _complete_homogeneous(records: list[_Rec], order: LocalOrder, work: list,
                for k, r in enumerate(records)):
             continue
         try:
-            rem = _reduce(_spoly(fi, gj, lcm_code, order, beyond), records, order,
-                          beyond, work, step_limit, degree)
+            rem = _reduce(_spoly(fi, gj, lcm_code, order, corner_code), records, order,
+                          corner_code, work, step_limit, degree=degree if lazard else None)
         except ComputationBudgetExceeded as exc:
             exc.pairs_left = len(heap)
             raise
+        except _Runaway:
+            # Only raised before a corner, so no record was truncated.
+            lazard = True
+            heap.clear()
+            pending.clear()
+            for t in range(len(records)):
+                push_pairs(t)
+            continue
         if rem:
+            # No leading monomial of ``records`` divides the remainder's.
             records.append(_make_rec(rem, order))
+            size = None
             push_pairs(len(records) - 1)
-    size, _, layer = _staircase_of(records, order) or (INFINITE, 0, [])
-    return StandardBasis(records, order, layer, size, work[0])
+            if not lazard:
+                refresh_corner(records[-1:])
+    if lazard:
+        size, _, outside = _staircase_of(records, order) or (INFINITE, 0, [])
+    return StandardBasis(records, order, outside, size, work[0])
 
 
 def _prepare_records(gens: Sequence[Polynomial | _Rec], order: LocalOrder) -> list[_Rec]:

@@ -15,6 +15,7 @@ import pytest
 
 import germ.corpus
 import germ.invariants
+import germ.localalg
 import germ.poly
 import germ.semigroup
 from germ import BOUND_IDS, ExpansionTooLargeError, bound_report, parse_polynomial
@@ -575,6 +576,10 @@ def test_germ_past_the_work_ceiling_is_undecided(capsys, monkeypatch):
     assert (data["mu"], data["tau"], data["isolated"]) == (None, None, False)
     code, out, _ = run(capsys, "invariants", "--vars", "x,y", "--poly", NON_ISOLATED_CURVE)
     assert code == 0 and "mu=infinite  tau=infinite" in out
+    # Lazard's meter on the gradient, in the ring's own order.
+    f = parse_polynomial(NON_ISOLATED_CURVE, ("x", "y"))
+    sb = germ.localalg.standard_basis([f.partial_derivative(v) for v in f.vars])
+    assert (sb._work, len(sb._records)) == (2_270_056, 71)
     # With the ceiling at the first round every run fails its budget
     # before that, so the germ is reported undecided (null mu, tau and
     # isolated, exit 1) instead of running on forever.

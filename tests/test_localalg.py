@@ -1099,18 +1099,22 @@ def test_basis_members_reduce_to_zero(d1, d2, d3):
 def test_compounding_snapshots_move_the_completion_to_lazard(monkeypatch):
     # The ideal (y) of the local ring: the snapshots of Mora's first
     # reduction compound their coefficients (56,770 bits after 10 s), so
-    # the completion moves to Lazard's homogenization and finishes.
+    # the completion moves to Lazard's homogenization and finishes.  A
+    # reduction given a ``degree`` is Lazard's.
     lazard = []
-    homogeneous = localalg._complete_homogeneous
+    reduce = localalg._reduce
 
-    def spy(records, order, work, step_limit):
-        lazard.append(len(records))
-        return homogeneous(records, order, work, step_limit)
+    def spy(h, records, order, corner_code, work, step_limit, degree=None):
+        if degree is not None:
+            lazard.append(len(records))
+        return reduce(h, records, order, corner_code, work, step_limit, degree=degree)
 
-    monkeypatch.setattr(localalg, "_complete_homogeneous", spy)
+    monkeypatch.setattr(localalg, "_reduce", spy)
     gens = [P("x*y+2*x*y^2-4*y^4+4*x^4*y^3"), P("-2*y+2*x^3*y^2-2*x^4*y^4-2*x^3*y")]
     sb = standard_basis(gens)
     assert lazard and sb.leading_ideal == ((0, 1),)
+    # Lazard's meter: the run's units and records.
+    assert (sb._work, len(sb._records)) == (109_657, 34)
     assert quotient_codimension(sb) == INFINITE and sb._layer == []
     for p in gens + [P("y"), P("y+x^9*y")]:
         assert sb.contains(p)
@@ -1129,15 +1133,40 @@ def test_compounding_non_member_is_decided_through_lazard(monkeypatch):
     p = P("-3*x*y+12*y^4+12*x*y^5-6*x^4*y^6-6*x^5*y^7")
     assert min(p.terms, key=sb.order.encode) == (1, 1)
     lazard = []
-    homogeneous = localalg._complete_homogeneous
+    reduce = localalg._reduce
 
-    def spy(records, order, work, step_limit):
-        lazard.append(len(records))
-        return homogeneous(records, order, work, step_limit)
+    def spy(h, records, order, corner_code, work, step_limit, degree=None):
+        if degree is not None:
+            lazard.append(len(records))
+        return reduce(h, records, order, corner_code, work, step_limit, degree=degree)
 
-    monkeypatch.setattr(localalg, "_complete_homogeneous", spy)
+    monkeypatch.setattr(localalg, "_reduce", spy)
     assert not sb.contains(p)
     assert lazard
+    # Lazard's meter on that extension.
+    ext = extend_standard_basis(sb, [p])
+    assert (ext._work, len(ext._records)) == (50_205, 23)
+
+
+def test_budget_exceeded_inside_lazard_counts_its_pairs(monkeypatch):
+    # A three-branch plane curve: under (y,x) Mora's snapshots compound
+    # before any corner, and the 250k-unit budget runs out in the 37th
+    # reduction of Lazard's completion, with 270 pairs still queued.
+    degrees = []
+    reduce = localalg._reduce
+
+    def spy(h, records, order, corner_code, work, step_limit, degree=None):
+        degrees.append(degree)
+        return reduce(h, records, order, corner_code, work, step_limit, degree=degree)
+
+    monkeypatch.setattr(localalg, "_reduce", spy)
+    f = P("(y-x^9)*((y+3*x)^2-x^9)*((y+3*x)^3-x^13)")
+    grad = [f.partial_derivative(v) for v in V2]
+    with pytest.raises(ComputationBudgetExceeded) as exc:
+        standard_basis(grad, LocalOrder(V2, ("y", "x")), step_limit=250_000)
+    assert exc.value.pairs_left == 270
+    assert degrees[-1] is not None
+    assert sum(d is not None for d in degrees) == 37
 
 
 def test_compounding_member_is_decided_by_its_extension_alone(monkeypatch):
